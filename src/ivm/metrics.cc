@@ -137,6 +137,14 @@ std::string AdmissionMetrics::ToJson() const {
   return os.str();
 }
 
+std::string DmlMetrics::ToJson() const {
+  std::ostringstream os;
+  os << "{\"rows_examined\": " << rows_examined
+     << ", \"rows_matched\": " << rows_matched
+     << ", \"index_probes\": " << index_probes << "}";
+  return os.str();
+}
+
 std::string ScrubMetrics::ToJson() const {
   std::ostringstream os;
   os << "{\"views_scrubbed\": " << views_scrubbed
@@ -209,6 +217,7 @@ std::string MetricsRegistry::ToJson() const {
      << ", \"scrub\": " << scrub_.ToJson()
      << ", \"sessions\": " << sessions_.ToJson()
      << ", \"admission\": " << admission_.ToJson()
+     << ", \"dml\": " << dml_.ToJson()
      << ", \"global\": " << Aggregate().ToJson()
      << ", \"retired\": " << retired_.ToJson() << ", \"views\": {";
   bool first = true;

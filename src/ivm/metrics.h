@@ -163,6 +163,21 @@ struct AdmissionMetrics {
   std::string ToJson() const;
 };
 
+/// DELETE/UPDATE WHERE work, copied from the engine's atomics before stats
+/// are rendered.  `rows_examined / rows_matched` is the access path's
+/// overhead per affected row: near 1 when the WHERE pins an indexed
+/// column, the table size per match when it scans.  Surfaced under the
+/// "dml" key of `SHOW STATS JSON`, `*`-scoped `dml_*` rows of the long
+/// format, and the `mview_dml_*` Prometheus families.
+struct DmlMetrics {
+  int64_t rows_examined = 0;  // candidate rows tested against a WHERE
+  int64_t rows_matched = 0;   // rows that passed (deleted or updated)
+  int64_t index_probes = 0;   // index lookups made choosing access paths
+
+  /// `{"rows_examined": …, "rows_matched": …, "index_probes": …}`.
+  std::string ToJson() const;
+};
+
 /// Cumulative counters of the online consistency scrubber, exported under
 /// the "scrub" key of `SHOW STATS JSON` and as the `mview_scrub_*`
 /// Prometheus families.  Written by the `Scrubber` on the engine thread.
@@ -220,6 +235,9 @@ class MetricsRegistry {
   AdmissionMetrics& admission() { return admission_; }
   const AdmissionMetrics& admission() const { return admission_; }
 
+  DmlMetrics& dml() { return dml_; }
+  const DmlMetrics& dml() const { return dml_; }
+
   /// Metrics accumulated by views dropped since session start.
   const ViewMetrics& retired() const { return retired_; }
 
@@ -231,7 +249,8 @@ class MetricsRegistry {
   /// `{"commits": …, "normalize_nanos": …, "base_apply_nanos": …,
   ///   "epochs_published": …, "snapshot_reuses": …, "snapshot_copies": …,
   ///   "commit_latency": {…}, "storage": {…}, "pool": {…}, "scrub": {…},
-  ///   "sessions": {…}, "admission": {…}, "global": {…}, "retired": {…},
+  ///   "sessions": {…}, "admission": {…}, "dml": {…}, "global": {…},
+  ///   "retired": {…},
   ///   "views": {"name": {…}, …}}`.
   std::string ToJson() const;
 
@@ -244,6 +263,7 @@ class MetricsRegistry {
   ScrubMetrics scrub_;
   SessionMetrics sessions_;
   AdmissionMetrics admission_;
+  DmlMetrics dml_;
 };
 
 }  // namespace mview

@@ -333,6 +333,17 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   Family(os, "mview_deadline_exceeded_total", "counter",
          "Statements unwound by an expired deadline")
       .Sample("", admission.deadline_exceeded);
+
+  const DmlMetrics& dml = registry.dml();
+  Family(os, "mview_dml_rows_examined_total", "counter",
+         "Candidate rows tested against DELETE/UPDATE WHERE clauses")
+      .Sample("", dml.rows_examined);
+  Family(os, "mview_dml_rows_matched_total", "counter",
+         "Rows matched (deleted or updated) by DELETE/UPDATE")
+      .Sample("", dml.rows_matched);
+  Family(os, "mview_dml_index_probes_total", "counter",
+         "Index lookups made choosing DELETE/UPDATE access paths")
+      .Sample("", dml.index_probes);
   return os.str();
 }
 

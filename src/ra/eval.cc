@@ -26,6 +26,20 @@ void SplitJoinAttributes(const Schema& left, const Schema& right,
   }
 }
 
+// The tuple twin of the batch `EvalBoundAtom`.
+bool EvalBoundAtom(const Tuple& tuple, const BoundAtom& atom) {
+  const Value& left = tuple.at(atom.lhs_col);
+  if (!atom.var_var) return EvalCompare(left.Compare(atom.rhs_const), atom.op);
+  const Value& right = tuple.at(atom.rhs_col);
+  if (left.type() == ValueType::kInt64) {
+    // Matches Atom::Evaluate exactly: x op y + c compares x − c against y.
+    const int64_t l = left.AsInt64() - atom.offset;
+    const int64_t r = right.AsInt64();
+    return EvalCompare(l < r ? -1 : (l > r ? 1 : 0), atom.op);
+  }
+  return EvalCompare(left.Compare(right), atom.op);
+}
+
 Schema JoinSchema(const Schema& left, const Schema& right) {
   std::vector<size_t> ls, rs, rr;
   SplitJoinAttributes(left, right, &ls, &rs, &rr);
@@ -231,6 +245,20 @@ BoundDnf BindCondition(const Condition& condition, const Schema& schema) {
     dnf.push_back(std::move(atoms));
   }
   return dnf;
+}
+
+bool EvalBoundDnf(const Tuple& tuple, const BoundDnf& dnf) {
+  for (const auto& conj : dnf) {
+    bool pass = true;
+    for (const BoundAtom& atom : conj) {
+      if (!EvalBoundAtom(tuple, atom)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) return true;
+  }
+  return false;
 }
 
 size_t SelectDnf(const ColumnBatch& batch, const BoundDnf& dnf, uint32_t* sel,

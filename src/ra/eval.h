@@ -63,6 +63,13 @@ using BoundDnf = std::vector<std::vector<BoundAtom>>;
 /// Binds every atom of `condition` against `schema`.
 BoundDnf BindCondition(const Condition& condition, const Schema& schema);
 
+/// True when `tuple` (the scheme `dnf` was bound against) satisfies the
+/// bound condition — the per-row test of DML WHERE clauses and view reads,
+/// with every column resolved once up front instead of by name per row.
+/// Identical semantics to `Condition::Evaluate`, including the `x − c`
+/// offset form.
+bool EvalBoundDnf(const Tuple& tuple, const BoundDnf& dnf);
+
 /// Refines `sel` to the rows of `batch` satisfying the bound condition.
 size_t SelectDnf(const ColumnBatch& batch, const BoundDnf& dnf, uint32_t* sel,
                  size_t n);

@@ -22,7 +22,10 @@ size_t JoinStateCache::ApproxRowBytes(const Tuple& tuple) {
   size_t value_bytes = 0;
   for (const Value& v : tuple.values()) {
     value_bytes += sizeof(Value);
-    if (v.type() == ValueType::kString) value_bytes += v.AsString().size();
+    // A string value owns a separately allocated std::string object.
+    if (v.type() == ValueType::kString) {
+      value_bytes += sizeof(std::string) + v.AsString().size();
+    }
   }
   return 2 * (sizeof(Tuple) + value_bytes) + 64;
 }

@@ -17,42 +17,59 @@ const char* ValueTypeName(ValueType type) {
   return "unknown";
 }
 
-int64_t Value::AsInt64() const {
-  MVIEW_CHECK(type() == ValueType::kInt64, "value is not an int64: ",
-              ToString());
-  return std::get<int64_t>(rep_);
+Value& Value::operator=(const Value& other) {
+  if (this == &other) return *this;
+  if (other.type_ == ValueType::kInt64) {
+    if (type_ == ValueType::kString) delete str_;
+    int_ = other.int_;
+  } else if (type_ == ValueType::kString) {
+    // Reuses this value's string capacity (scratch probe keys rely on it).
+    *str_ = *other.str_;
+  } else {
+    str_ = new std::string(*other.str_);
+  }
+  type_ = other.type_;
+  return *this;
 }
 
-const std::string& Value::AsString() const {
-  MVIEW_CHECK(type() == ValueType::kString, "value is not a string: ",
-              ToString());
-  return std::get<std::string>(rep_);
+Value& Value::operator=(Value&& other) noexcept {
+  if (this == &other) return *this;
+  if (type_ == ValueType::kString) delete str_;
+  type_ = other.type_;
+  if (type_ == ValueType::kInt64) {
+    int_ = other.int_;
+  } else {
+    str_ = other.str_;
+    other.type_ = ValueType::kInt64;
+    other.int_ = 0;
+  }
+  return *this;
+}
+
+void Value::ThrowWrongType(const char* wanted) const {
+  internal::ThrowError("value is not ", wanted, ": ", ToString());
 }
 
 int Value::Compare(const Value& other) const {
-  MVIEW_CHECK(type() == other.type(), "mixed-type comparison: ", ToString(),
+  MVIEW_CHECK(type_ == other.type_, "mixed-type comparison: ", ToString(),
               " vs ", other.ToString());
-  if (type() == ValueType::kInt64) {
-    int64_t a = std::get<int64_t>(rep_);
-    int64_t b = std::get<int64_t>(other.rep_);
-    return a < b ? -1 : (a > b ? 1 : 0);
+  if (type_ == ValueType::kInt64) {
+    return int_ < other.int_ ? -1 : (int_ > other.int_ ? 1 : 0);
   }
-  const std::string& a = std::get<std::string>(rep_);
-  const std::string& b = std::get<std::string>(other.rep_);
-  return a < b ? -1 : (a > b ? 1 : 0);
+  const int c = str_->compare(*other.str_);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
 std::size_t Value::Hash() const {
-  if (type() == ValueType::kInt64) {
+  if (type_ == ValueType::kInt64) {
     // Mix so that small integers spread across buckets.
-    uint64_t x = static_cast<uint64_t>(std::get<int64_t>(rep_));
+    uint64_t x = static_cast<uint64_t>(int_);
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdULL;
     x ^= x >> 33;
     return static_cast<std::size_t>(x);
   }
-  return std::hash<std::string>{}(std::get<std::string>(rep_)) ^
-         0x9e3779b97f4a7c15ULL;
+  return std::hash<std::string>{}(*str_) ^ 0x9e3779b97f4a7c15ULL;
 }
 
 uint64_t Value::StableHash() const {
@@ -61,22 +78,20 @@ uint64_t Value::StableHash() const {
     h ^= byte;
     h *= 1099511628211ULL;  // FNV prime
   };
-  if (type() == ValueType::kInt64) {
+  if (type_ == ValueType::kInt64) {
     mix(0);  // type tag: int64 and string payloads never collide trivially
-    uint64_t x = static_cast<uint64_t>(std::get<int64_t>(rep_));
+    uint64_t x = static_cast<uint64_t>(int_);
     for (int i = 0; i < 8; ++i) mix(static_cast<uint8_t>(x >> (8 * i)));
   } else {
     mix(1);
-    for (char c : std::get<std::string>(rep_)) mix(static_cast<uint8_t>(c));
+    for (char c : *str_) mix(static_cast<uint8_t>(c));
   }
   return h;
 }
 
 std::string Value::ToString() const {
-  if (type() == ValueType::kInt64) {
-    return std::to_string(std::get<int64_t>(rep_));
-  }
-  return "\"" + std::get<std::string>(rep_) + "\"";
+  if (type_ == ValueType::kInt64) return std::to_string(int_);
+  return "\"" + *str_ + "\"";
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

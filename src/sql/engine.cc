@@ -8,6 +8,7 @@
 #include "ivm/scrubber.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
+#include "ra/eval.h"
 #include "ra/planner.h"
 #include "relational/csv.h"
 #include "sql/session.h"
@@ -177,9 +178,10 @@ Result SelectFromMaterialization(const CountedRelation& view,
   }
   std::vector<size_t> indices;
   Schema out_schema = schema.Project(projection, &indices);
+  const BoundDnf bound = BindCondition(where, schema);
   CountedRelation out(out_schema);
   view.Scan([&](const Tuple& t, int64_t c) {
-    if (where.Evaluate(schema, t)) out.Add(t.Project(indices), c);
+    if (EvalBoundDnf(t, bound)) out.Add(t.Project(indices), c);
   });
   return RowsResult(out_schema, out.ToSortedVector());
 }
@@ -426,22 +428,88 @@ Transaction EngineCore::BuildInsert(const Statement& stmt,
   return txn;
 }
 
-Transaction EngineCore::BuildDelete(const Statement& stmt,
-                                    size_t* rows) const {
+void EngineCore::ForEachDmlMatch(const Relation& rel, const Condition& where,
+                                 const util::Cancellation* cancel,
+                                 const std::function<void(const Tuple&)>& fn,
+                                 std::string* access_path) const {
+  const Schema& schema = rel.schema();
+  // The access path: with a single conjunction, every `attr = const` atom
+  // on an indexed column names a superset of the matches — its index
+  // bucket — so the smallest such bucket replaces the scan.  The indexes
+  // are the ones views already keep on their equi-join columns (§5.3's
+  // t_r ⋈ s probes); DML creates none, so the choice follows from the
+  // catalog alone.  Other shapes (disjunctions, ranges, unindexed columns)
+  // scan.
+  std::optional<size_t> probed;
+  const std::vector<const Tuple*>* bucket = nullptr;  // null: empty bucket
+  size_t candidates = rel.size();
+  int64_t probes = 0;
+  if (where.disjuncts().size() == 1) {
+    for (const Atom& atom : where.disjuncts()[0].atoms) {
+      if (atom.IsVarVar() || atom.op != CompareOp::kEq) continue;
+      const size_t attr = schema.MustIndexOf(atom.lhs);
+      if (!rel.HasIndex(attr)) continue;
+      const std::vector<const Tuple*>* hit = rel.Probe(attr, atom.rhs_const);
+      ++probes;
+      const size_t size = hit == nullptr ? 0 : hit->size();
+      if (!probed.has_value() || size < candidates) {
+        probed = attr;
+        bucket = hit;
+        candidates = size;
+      }
+      if (candidates == 0) break;  // no row can match
+    }
+  }
+  if (access_path != nullptr) {
+    *access_path =
+        probed.has_value()
+            ? "index on " + schema.attribute(*probed).name + " (" +
+                  std::to_string(candidates) + " candidate row(s))"
+            : "full scan (" + std::to_string(candidates) + " row(s))";
+  }
+  // Every candidate is re-checked against the whole WHERE, bound to column
+  // positions once.  The deadline is polled every 1,024 candidates, so a
+  // staged full-table scan stays cancellable.
+  const BoundDnf bound = BindCondition(where, schema);
+  int64_t examined = 0;
+  int64_t matched = 0;
+  auto examine = [&](const Tuple& t) {
+    if (cancel != nullptr && examined % 1024 == 0) cancel->Check();
+    ++examined;
+    if (!EvalBoundDnf(t, bound)) return;
+    ++matched;
+    fn(t);
+  };
+  if (probed.has_value()) {
+    if (bucket != nullptr) {
+      for (const Tuple* t : *bucket) examine(*t);
+    }
+  } else {
+    rel.Scan(examine);
+  }
+  dml_rows_examined_.fetch_add(examined, std::memory_order_relaxed);
+  dml_rows_matched_.fetch_add(matched, std::memory_order_relaxed);
+  dml_index_probes_.fetch_add(probes, std::memory_order_relaxed);
+}
+
+Transaction EngineCore::BuildDelete(const Statement& stmt, size_t* rows,
+                                    const util::Cancellation* cancel,
+                                    std::string* access_path) const {
   const Relation& rel = db_.Get(stmt.name);
   stmt.where.Validate(rel.schema());
   std::vector<Tuple> matches;
-  rel.Scan([&](const Tuple& t) {
-    if (stmt.where.Evaluate(rel.schema(), t)) matches.push_back(t);
-  });
+  ForEachDmlMatch(
+      rel, stmt.where, cancel,
+      [&](const Tuple& t) { matches.push_back(t); }, access_path);
   *rows = matches.size();
   Transaction txn;
   txn.DeleteAll(stmt.name, matches);
   return txn;
 }
 
-Transaction EngineCore::BuildUpdate(const Statement& stmt,
-                                    size_t* rows) const {
+Transaction EngineCore::BuildUpdate(const Statement& stmt, size_t* rows,
+                                    const util::Cancellation* cancel,
+                                    std::string* access_path) const {
   const Relation& rel = db_.Get(stmt.name);
   const Schema& schema = rel.schema();
   stmt.where.Validate(schema);
@@ -455,25 +523,28 @@ Transaction EngineCore::BuildUpdate(const Statement& stmt,
   }
   Transaction txn;
   size_t changed = 0;
-  rel.Scan([&](const Tuple& t) {
-    if (!stmt.where.Evaluate(schema, t)) return;
-    std::vector<Value> values = t.values();
-    for (const auto& [idx, value] : sets) values[idx] = value;
-    txn.Update(stmt.name, t, Tuple(std::move(values)));
-    ++changed;
-  });
+  ForEachDmlMatch(
+      rel, stmt.where, cancel,
+      [&](const Tuple& t) {
+        std::vector<Value> values = t.values();
+        for (const auto& [idx, value] : sets) values[idx] = value;
+        txn.Update(stmt.name, t, Tuple(std::move(values)));
+        ++changed;
+      },
+      access_path);
   *rows = changed;
   return txn;
 }
 
-Transaction EngineCore::BuildDml(const Statement& stmt, size_t* rows) const {
+Transaction EngineCore::BuildDml(const Statement& stmt, size_t* rows,
+                                 std::string* access_path) const {
   switch (stmt.kind) {
     case Statement::Kind::kInsert:
       return BuildInsert(stmt, rows);
     case Statement::Kind::kDelete:
-      return BuildDelete(stmt, rows);
+      return BuildDelete(stmt, rows, nullptr, access_path);
     case Statement::Kind::kUpdate:
-      return BuildUpdate(stmt, rows);
+      return BuildUpdate(stmt, rows, nullptr, access_path);
     default:
       internal::ThrowError("not a DML statement");
   }
@@ -499,7 +570,7 @@ Result EngineCore::ExecuteDelete(const Statement& stmt,
                                  std::optional<Transaction>* pending,
                                  const util::Cancellation* cancel) {
   size_t n = 0;
-  Transaction txn = BuildDelete(stmt, &n);
+  Transaction txn = BuildDelete(stmt, &n, cancel);
   if (pending->has_value()) {
     (*pending)->Append(txn);
     return Message(std::to_string(n) + " row(s) staged");
@@ -515,7 +586,7 @@ Result EngineCore::ExecuteUpdate(const Statement& stmt,
                                  std::optional<Transaction>* pending,
                                  const util::Cancellation* cancel) {
   size_t n = 0;
-  Transaction txn = BuildUpdate(stmt, &n);
+  Transaction txn = BuildUpdate(stmt, &n, cancel);
   if (pending->has_value()) {
     (*pending)->Append(txn);
     return Message(std::to_string(n) + " row(s) staged");
@@ -530,13 +601,15 @@ Result EngineCore::ExecuteUpdate(const Statement& stmt,
 Result EngineCore::ExecuteExplainMaintenance(const Statement& stmt) {
   const Statement& dml = stmt.inner.front();
   size_t n = 0;
-  Transaction txn = BuildDml(dml, &n);
+  std::string access_path;
+  Transaction txn = BuildDml(dml, &n, &access_path);
   // Normalize is const against the database: the would-be net effect is
   // computed and audited, nothing is applied or logged.
   TransactionEffect effect = txn.Normalize(db_);
   std::ostringstream os;
   os << "EXPLAIN MAINTENANCE: " << n << " row(s) matched, net effect "
      << effect.TotalTuples() << " tuple(s)\n";
+  if (!access_path.empty()) os << "access path: " << access_path << "\n";
   if (effect.Empty()) {
     os << "net effect is empty; no view would be maintained\n";
     return Message(os.str());
@@ -654,6 +727,13 @@ void EngineCore::SyncAdmissionMetrics() {
   am.retry_after_ms = stats.retry_after_ms;
 }
 
+void EngineCore::SyncDmlMetrics() {
+  DmlMetrics& dm = views_.metrics().dml();
+  dm.rows_examined = dml_rows_examined_.load(std::memory_order_relaxed);
+  dm.rows_matched = dml_rows_matched_.load(std::memory_order_relaxed);
+  dm.index_probes = dml_index_probes_.load(std::memory_order_relaxed);
+}
+
 void EngineCore::DumpTrace(const std::string& path) const {
   std::ofstream out(path);
   MVIEW_CHECK(out.is_open(), "cannot open for writing: ", path);
@@ -667,6 +747,7 @@ std::string EngineCore::ExportMetricsText() {
   views_.SyncPoolMetrics();
   SyncSessionMetrics();
   SyncAdmissionMetrics();
+  SyncDmlMetrics();
   return obs::ExportPrometheus(views_.metrics());
 }
 
@@ -861,6 +942,7 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       views_.SyncPoolMetrics();
       SyncSessionMetrics();
       SyncAdmissionMetrics();
+      SyncDmlMetrics();
       if (stmt.json) return JsonMessage(views_.metrics().ToJson());
       // Long format: one (view, metric, value) row per counter, with the
       // cross-view aggregate and commit-scope timers under view "*".
@@ -933,6 +1015,10 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       emit("*", "admission_write_inflight", admission.write_inflight);
       emit("*", "admission_retry_after_ms", admission.retry_after_ms);
       emit("*", "deadline_exceeded", admission.deadline_exceeded);
+      const DmlMetrics& dml = registry.dml();
+      emit("*", "dml_rows_examined", dml.rows_examined);
+      emit("*", "dml_rows_matched", dml.rows_matched);
+      emit("*", "dml_index_probes", dml.index_probes);
       emit_view("*", registry.Aggregate());
       for (const auto& name : registry.ViewNames()) {
         emit_view(name, *registry.Find(name));

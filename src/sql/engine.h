@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -207,10 +208,26 @@ class EngineCore {
   // Validate a DML statement against the catalog and return the
   // transaction it would commit (affected-row count via `rows`), applying
   // nothing — shared by the execution paths and EXPLAIN MAINTENANCE.
+  // `cancel` (may be null) is polled while the WHERE is evaluated; when
+  // `access_path` is non-null it receives the EXPLAIN rendering of how the
+  // rows were found.
   Transaction BuildInsert(const Statement& stmt, size_t* rows) const;
-  Transaction BuildDelete(const Statement& stmt, size_t* rows) const;
-  Transaction BuildUpdate(const Statement& stmt, size_t* rows) const;
-  Transaction BuildDml(const Statement& stmt, size_t* rows) const;
+  Transaction BuildDelete(const Statement& stmt, size_t* rows,
+                          const util::Cancellation* cancel,
+                          std::string* access_path = nullptr) const;
+  Transaction BuildUpdate(const Statement& stmt, size_t* rows,
+                          const util::Cancellation* cancel,
+                          std::string* access_path = nullptr) const;
+  Transaction BuildDml(const Statement& stmt, size_t* rows,
+                       std::string* access_path) const;
+  // Calls `fn` on every row of `rel` satisfying `where` (already
+  // validated), probing an index bucket instead of scanning when the
+  // WHERE pins an indexed column (see the definition), and records the
+  // work in the `dml_*` counters.
+  void ForEachDmlMatch(const Relation& rel, const Condition& where,
+                       const util::Cancellation* cancel,
+                       const std::function<void(const Tuple&)>& fn,
+                       std::string* access_path) const;
   void EnsureTableDroppable(const std::string& name) const;
   // Called after every successful DDL statement: with storage attached,
   // forces a checkpoint so the WAL only ever carries DML.
@@ -231,6 +248,9 @@ class EngineCore {
   /// counter) into `views_.metrics().admission()`.  Caller holds the
   /// exclusive lock.
   void SyncAdmissionMetrics();
+  /// Copies the DML access-path counters into `views_.metrics().dml()`.
+  /// Caller holds the exclusive lock.
+  void SyncDmlMetrics();
 
   Database db_;
   ViewManager views_;
@@ -251,6 +271,12 @@ class EngineCore {
   std::unique_ptr<util::AdmissionController> admission_;
   // Statements unwound by an expired deadline (any lane, any phase).
   std::atomic<int64_t> deadline_exceeded_{0};
+  // DELETE/UPDATE WHERE work: candidate rows tested, rows that passed, and
+  // index lookups made choosing the access path.  Atomic because staging
+  // inside BEGIN runs under the shared lock.
+  mutable std::atomic<int64_t> dml_rows_examined_{0};
+  mutable std::atomic<int64_t> dml_rows_matched_{0};
+  mutable std::atomic<int64_t> dml_index_probes_{0};
 
   mutable std::mutex sessions_mu_;
   std::set<Session*> sessions_;   // live sessions

@@ -129,10 +129,14 @@ TEST(DeadlineUnwindPropertyTest, EveryPollPointUnwindsCleanly) {
   // Statements chosen to cross distinct machinery: an auto-commit
   // multi-row insert (join maintenance), a delete, an update, and an
   // explicit transaction commit batching all three.
+  // DELETE/UPDATE come keyed (b is indexed for vj's join, so the WHERE
+  // probes) and unkeyed (a full scan).
   const std::vector<std::string> statements = {
       "INSERT INTO r VALUES (6, 10), (7, 20), (8, 30)",
       "DELETE FROM r WHERE a = 3",
       "UPDATE r SET b = 30 WHERE a = 1",
+      "DELETE FROM r WHERE b = 20",
+      "UPDATE r SET a = 4 WHERE b = 10 AND a = 1",
   };
   for (const std::string& statement : statements) {
     SCOPED_TRACE(statement);
@@ -170,6 +174,95 @@ TEST(DeadlineUnwindPropertyTest, EveryPollPointUnwindsCleanly) {
     // The sweep must terminate: no statement has 64 poll points here.
     EXPECT_GE(completed_at, 1) << "expected at least two poll points";
   }
+}
+
+// Staging a DELETE/UPDATE inside BEGIN evaluates its WHERE under the
+// shared lock; that evaluation polls too.  Whichever poll aborts it, the
+// session stays in its transaction with exactly what it had staged before.
+TEST(DeadlineUnwindPropertyTest, StagedDmlUnwindsCleanly) {
+  const std::vector<std::string> statements = {
+      "DELETE FROM r WHERE a = 3",
+      "UPDATE r SET b = 30 WHERE a = 1",
+      "DELETE FROM r WHERE b = 20",
+      "UPDATE r SET a = 4 WHERE b = 10 AND a = 1",
+  };
+  const std::string staged_before = "INSERT INTO r VALUES (9, 10)";
+  for (const std::string& statement : statements) {
+    SCOPED_TRACE(statement);
+    int completed_at = -1;
+    for (int k = 0; k < 64; ++k) {
+      Engine engine;
+      engine.ExecuteScript(kPreamble);
+      Engine shadow;
+      shadow.ExecuteScript(kPreamble);
+      std::unique_ptr<sql::Session> session = engine.CreateSession();
+      ASSERT_TRUE(session->TryExecute("BEGIN", nullptr).ok);
+      ASSERT_TRUE(session->TryExecute(staged_before, nullptr).ok);
+
+      Status status;
+      {
+        FaultSpec spec;
+        spec.kind = FaultKind::kDeadline;
+        spec.hits_before = k;
+        ScopedFault fault("cancel.poll", spec);
+        Cancellation token;
+        status = session->TryExecute(statement, nullptr, &token);
+      }
+      EXPECT_TRUE(session->in_transaction());
+      ExpectSameVisibleState(engine, shadow);  // nothing committed yet
+      ASSERT_TRUE(session->TryExecute("COMMIT", nullptr).ok);
+      if (status.ok) {
+        shadow.ExecuteScript("BEGIN; " + staged_before + "; " + statement +
+                             "; COMMIT;");
+        ExpectSameVisibleState(engine, shadow);
+        completed_at = k;
+        break;
+      }
+      ASSERT_EQ(status.kind, Status::Kind::kDeadlineExceeded)
+          << status.message;
+      // The aborted statement staged nothing; the earlier insert survives.
+      shadow.ExecuteScript("BEGIN; " + staged_before + "; COMMIT;");
+      ExpectSameVisibleState(engine, shadow);
+    }
+    // One poll before the lock, one as the WHERE evaluation starts.
+    EXPECT_GE(completed_at, 2) << "staged WHERE evaluation must poll";
+  }
+}
+
+// A staged scan polls every 1,024 rows; a keyed probe examines only its
+// bucket.  Counted as the number of poll points the statement passes.
+TEST(DeadlineUnwindPropertyTest, StagedScanPollsEvery1024Rows) {
+  auto polls_of = [](const std::string& statement) {
+    for (int k = 0; k < 64; ++k) {
+      Engine engine;
+      std::string load = "INSERT INTO big VALUES ";
+      for (int i = 0; i < 3000; ++i) {
+        load += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+                std::to_string(i % 100) + ")";
+      }
+      engine.ExecuteScript(
+          "CREATE TABLE big (k INT64, g INT64);"
+          "CREATE TABLE dim (g INT64, name INT64);"
+          "CREATE MATERIALIZED VIEW j AS SELECT k, name FROM big, dim "
+          "WHERE big.g = dim.g;" +
+          load + ";");
+      std::unique_ptr<sql::Session> session = engine.CreateSession();
+      EXPECT_TRUE(session->TryExecute("BEGIN", nullptr).ok);
+      FaultSpec spec;
+      spec.kind = FaultKind::kDeadline;
+      spec.hits_before = k;
+      ScopedFault fault("cancel.poll", spec);
+      Cancellation token;
+      if (session->TryExecute(statement, nullptr, &token).ok) return k;
+    }
+    return -1;
+  };
+  // 1 pre-lock poll + polls at rows 0, 1024 and 2048.
+  EXPECT_EQ(polls_of("DELETE FROM big WHERE k = 5"), 4);
+  EXPECT_EQ(polls_of("UPDATE big SET k = 0 WHERE k < 10"), 4);
+  // big.g is indexed for the view's join: a 30-row bucket, one poll.
+  EXPECT_EQ(polls_of("DELETE FROM big WHERE g = 7"), 2);
+  EXPECT_EQ(polls_of("UPDATE big SET k = 0 WHERE g = 7 AND k < 100"), 2);
 }
 
 TEST(DeadlineUnwindPropertyTest, AbortedCommitKeepsTransactionIntegrity) {

@@ -220,6 +220,62 @@ TEST(ExplainMaintenanceSqlTest, ExplainsDeletesAndUpdates) {
   EXPECT_EQ(engine.database().Get("r").size(), 2u);
 }
 
+TEST(ExplainMaintenanceSqlTest, ReportsTheAccessPath) {
+  // The view's equi-join indexes r.b; DML pinning b probes that index,
+  // anything else scans.  No statement creates an index of its own.
+  sql::Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE r (a INT64, b INT64);"
+      "CREATE TABLE s (c INT64, d INT64);"
+      "INSERT INTO r VALUES (1, 2), (3, 2), (5, 7), (8, 9);"
+      "INSERT INTO s VALUES (2, 20), (7, 70);"
+      "CREATE MATERIALIZED VIEW v AS SELECT a, d FROM r, s WHERE b = c;");
+  sql::Engine::Result result = engine.Execute(
+      "EXPLAIN MAINTENANCE DELETE FROM r WHERE b = 2 AND a > 1");
+  EXPECT_NE(result.message.find(
+                "access path: index on b (2 candidate row(s))\n"),
+            std::string::npos)
+      << result.message;
+  EXPECT_NE(result.message.find("1 row(s) matched"), std::string::npos);
+
+  result = engine.Execute("EXPLAIN MAINTENANCE UPDATE r SET a = 0 WHERE a = 5");
+  EXPECT_NE(result.message.find("access path: full scan (4 row(s))\n"),
+            std::string::npos)
+      << result.message;
+
+  // An indexed equality inside one disjunct of several cannot bound the
+  // matches; it scans.
+  result = engine.Execute(
+      "EXPLAIN MAINTENANCE DELETE FROM r WHERE b = 2 OR a = 8");
+  EXPECT_NE(result.message.find("access path: full scan (4 row(s))"),
+            std::string::npos)
+      << result.message;
+
+  // A missing key probes an empty bucket.
+  result = engine.Execute("EXPLAIN MAINTENANCE DELETE FROM r WHERE b = 99");
+  EXPECT_NE(result.message.find("index on b (0 candidate row(s))"),
+            std::string::npos)
+      << result.message;
+
+  // INSERT has no WHERE and no access path line.
+  result = engine.Execute("EXPLAIN MAINTENANCE INSERT INTO r VALUES (4, 2)");
+  EXPECT_EQ(result.message.find("access path"), std::string::npos);
+  EXPECT_EQ(engine.database().Get("r").IndexedAttributes(),
+            std::vector<size_t>{1});
+
+  // With both columns indexed the smaller bucket wins, whatever the atom
+  // order.
+  engine.Execute("CREATE MATERIALIZED VIEW w AS SELECT b, d FROM r, s "
+                 "WHERE a = d");
+  for (const char* where : {"b = 2 AND a = 3", "a = 3 AND b = 2"}) {
+    result = engine.Execute(std::string("EXPLAIN MAINTENANCE DELETE FROM r "
+                                        "WHERE ") + where);
+    EXPECT_NE(result.message.find("index on a (1 candidate row(s))"),
+              std::string::npos)
+        << result.message;
+  }
+}
+
 TEST(ExplainMaintenanceSqlTest, EmptyEffectAndUnreferencedTables) {
   sql::Engine engine;
   engine.ExecuteScript(

@@ -198,6 +198,24 @@ TEST(PrometheusTest, EngineEndToEndExport) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PrometheusTest, DmlAccessPathFamilies) {
+  sql::Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE r (a INT64, b INT64);"
+      "CREATE TABLE s (b INT64, c INT64);"
+      "CREATE MATERIALIZED VIEW v AS SELECT * FROM r, s WHERE r.b = s.b;"
+      "INSERT INTO r VALUES (1, 1), (2, 1), (3, 2);"
+      "DELETE FROM r WHERE b = 1;"    // index probe, two candidates
+      "DELETE FROM r WHERE a = 3;");  // full scan of the one row left
+  std::string text = engine.ExportMetricsText();
+  CheckExpositionGrammar(text);
+  auto samples = Samples(text);
+  EXPECT_EQ(samples.at("mview_dml_rows_examined_total"), 3);
+  EXPECT_EQ(samples.at("mview_dml_rows_matched_total"), 3);
+  EXPECT_EQ(samples.at("mview_dml_index_probes_total"), 1);
+  EXPECT_TRUE(Contains(text, "# TYPE mview_dml_rows_examined_total counter"));
+}
+
 TEST(PrometheusTest, InMemoryEngineExportsWithoutStorageCounters) {
   sql::Engine engine;
   engine.ExecuteScript(

@@ -97,6 +97,17 @@ TEST(StatsJsonTest, GoldenSchema) {
     EXPECT_GE(pool.At("queue_depth").number, 0);
     EXPECT_GE(pool.At("active_workers").number, 0);
 
+    // DML access-path counters: the DELETE above scanned r (a is not
+    // indexed) and matched one row.
+    const JsonValue& dml = doc.At("dml");
+    for (const char* key : {"rows_examined", "rows_matched", "index_probes"}) {
+      ASSERT_TRUE(dml.Has(key)) << key;
+      EXPECT_EQ(dml.At(key).kind, JsonValue::Kind::kNumber) << key;
+    }
+    EXPECT_EQ(dml.At("rows_examined").number, 3);
+    EXPECT_EQ(dml.At("rows_matched").number, 1);
+    EXPECT_EQ(dml.At("index_probes").number, 0);
+
     // Aggregate, retired, and per-view scopes share the view shape.
     ExpectViewMetricsShape(doc.At("global"), "global");
     ExpectViewMetricsShape(doc.At("retired"), "retired");
@@ -125,6 +136,39 @@ TEST(StatsJsonTest, InMemoryEngineParsesToo) {
   EXPECT_EQ(doc.At("storage").At("wal_appends").number, 0);
   EXPECT_EQ(doc.At("pool").At("workers").number, 0);
   EXPECT_GT(doc.At("views").At("v").At("transactions").number, 0);
+}
+
+TEST(StatsJsonTest, DmlCountersSeparateIndexProbesFromScans) {
+  // v joins on r.b, so r carries an index on b: a keyed DELETE examines
+  // only its bucket, an unkeyed UPDATE examines every row.
+  sql::Engine engine;
+  engine.ExecuteScript(
+      "CREATE TABLE r (a INT64, b INT64);"
+      "CREATE TABLE s (b INT64, c INT64);"
+      "CREATE MATERIALIZED VIEW v AS SELECT * FROM r, s WHERE r.b = s.b;"
+      "INSERT INTO r VALUES (1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5);"
+      "DELETE FROM r WHERE b = 1 AND a = 2;");
+  JsonValue dml =
+      JsonParser::Parse(engine.Execute("SHOW STATS JSON").message).At("dml");
+  EXPECT_EQ(dml.At("rows_examined").number, 2);  // the b = 1 bucket
+  EXPECT_EQ(dml.At("rows_matched").number, 1);
+  EXPECT_EQ(dml.At("index_probes").number, 1);
+
+  engine.Execute("UPDATE r SET a = 0 WHERE a = 6");  // 5 rows left, scanned
+  dml = JsonParser::Parse(engine.Execute("SHOW STATS JSON").message).At("dml");
+  EXPECT_EQ(dml.At("rows_examined").number, 2 + 5);
+  EXPECT_EQ(dml.At("rows_matched").number, 2);
+  EXPECT_EQ(dml.At("index_probes").number, 1);
+
+  // The long format carries the same counters.
+  bool saw = false;
+  for (const auto& [tuple, count] : engine.Execute("SHOW STATS").rows) {
+    if (tuple.at(1).AsString() == "dml_rows_examined") {
+      saw = true;
+      EXPECT_EQ(tuple.at(2).AsInt64(), 7);
+    }
+  }
+  EXPECT_TRUE(saw);
 }
 
 TEST(StatsJsonTest, LongFormatCarriesPoolGauges) {
