@@ -387,9 +387,10 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
     util::Arena* arena, MaintenanceStats* stats,
     const util::Cancellation* cancel) const {
   // Covers the delta paths — commit-time rows (every partition) and
-  // deferred refresh funnel through here.  `FullEvaluate` deliberately
-  // does not: it is the recovery oracle, and a point there would let a
-  // sticky fault block the repair it is supposed to exercise.
+  // deferred refresh funnel through here.  `FullEvaluate` has no point of
+  // its own, but its batches live in an arena, so it does pass
+  // `ra.batch.alloc`: a sticky scratch fault fails REPAIR as well, leaving
+  // the view quarantined until disarmed (tests/chaos_matrix_test.cc).
   MVIEW_FAULT_POINT("differential.eval");
   MVIEW_CHECK(full.size() == def_.bases().size(),
               "expected one BaseParts per base occurrence");
@@ -463,7 +464,6 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   BatchEvalStats batch_stats;
   EvalContext ctx;
   ctx.arena = arena;
-  ctx.enable_batch = options_.enable_batch_eval;
   ctx.batch_stats = &batch_stats;
   ctx.cancel = cancel;
   if (cancel != nullptr) cancel->Check();
@@ -610,7 +610,8 @@ void DifferentialMaintainer::EnumerateRows(
   recurse(recurse, 0, false, false);
 }
 
-CountedRelation DifferentialMaintainer::FullEvaluate(PlanStats* stats) const {
+CountedRelation DifferentialMaintainer::FullEvaluate(
+    PlanStats* stats, const util::Cancellation* cancel) const {
   size_t n = def_.bases().size();
   std::vector<std::unique_ptr<RelationInput>> inputs(n);
   SpjQuery query;
@@ -622,8 +623,10 @@ CountedRelation DifferentialMaintainer::FullEvaluate(PlanStats* stats) const {
   const Condition& condition = def_.condition();
   query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
   query.projection = def_.projection();
+  EvalContext ctx;
+  ctx.cancel = cancel;
   CountedRelation out(output_);
-  EvaluateSpjInto(query, &out, 1, stats, nullptr);
+  EvaluateSpjInto(query, &out, 1, stats, nullptr, &ctx);
   return out;
 }
 

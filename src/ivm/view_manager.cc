@@ -113,7 +113,12 @@ std::shared_ptr<CountedRelation> ViewManager::WritableBuffer(
       view->spare.use_count() == 1) {
     // No snapshot pins the retired buffer: catch it up to the front by
     // replaying the delta that separates them — O(|delta|), no copy.
-    std::shared_ptr<CountedRelation> buffer = std::move(view->spare);
+    // `use_count()` is a relaxed load, so it alone does not order the last
+    // reader's scans before the writes below.  Copying (not moving) the
+    // pointer is an acquire-release increment of the same count in
+    // libstdc++, which synchronizes with that reader's release decrement.
+    std::shared_ptr<CountedRelation> buffer = view->spare;
+    view->spare.reset();
     view->lag_delta->ApplyTo(buffer.get());
     view->lag_delta.reset();
     ++metrics_.commit().snapshot_reuses;

@@ -68,11 +68,6 @@ struct StepFilter {
   size_t last_input = 0;  // the step at which the atom becomes ground
 };
 
-struct PartialRow {
-  std::vector<Value> vals;
-  int64_t count = 1;
-};
-
 // A connecting equi-join predicate at one join step: bound side expressed
 // as a combined-tuple index plus the offset to apply, local side as an
 // attribute of the step's input.
@@ -109,13 +104,7 @@ class SpjExecutor {
   bool PassesLocalFilters(const InputInfo& info, const Tuple& t) const;
   std::vector<Link> CollectLinks(size_t input_id) const;
 
-  // Tuple-at-a-time backend.
-  void RunTuple();
-  void ExecuteFirst(std::vector<PartialRow>* rows);
-  void ExecuteStep(size_t input_id, std::vector<PartialRow>* rows);
-  void Emit(const PartialRow& row);
-
-  // Columnar batch backend (see EvalContext); same plan, batch execution.
+  // Columnar batch execution of the chosen plan.
   void RunBatch();
   size_t BatchExecuteFirst(std::vector<ColumnBatch>* out);
   size_t BatchExecuteStep(size_t input_id, size_t total,
@@ -145,7 +134,7 @@ class SpjExecutor {
   PlanStats* stats_;
   PlannerCache* cache_;
   const EvalContext* ctx_;
-  util::Arena* arena_ = nullptr;  // set when the batch backend runs
+  util::Arena* arena_ = nullptr;  // batch scratch, set by Run
   // Owns tables when no external cache was supplied.
   PlannerCache local_cache_;
 
@@ -381,37 +370,6 @@ void SpjExecutor::FillTable(const InputInfo& info,
   info.input->Scan(sink);
 }
 
-void SpjExecutor::ExecuteFirst(std::vector<PartialRow>* rows) {
-  PollCancel();
-  size_t input_id = order_[0];
-  const InputInfo& info = inputs_[input_id];
-  class FirstSink final : public DeltaSink {
-   public:
-    FirstSink(SpjExecutor* e, const InputInfo& info,
-              std::vector<PartialRow>* rows)
-        : e_(e), info_(info), rows_(rows) {}
-    void Emit(const Tuple& t, int64_t count) override {
-      ++e_->local_stats_.rows_scanned;
-      if (!e_->PassesLocalFilters(info_, t)) return;
-      PartialRow row;
-      row.vals.resize(e_->combined_.size());
-      for (size_t i = 0; i < info_.arity; ++i) {
-        row.vals[info_.offset + i] = t.at(i);
-      }
-      row.count = count;
-      rows_->push_back(std::move(row));
-    }
-
-   private:
-    SpjExecutor* e_;
-    const InputInfo& info_;
-    std::vector<PartialRow>* rows_;
-  };
-  FirstSink sink(this, info, rows);
-  info.input->Scan(sink);
-  local_stats_.intermediate_tuples += rows->size();
-}
-
 std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
   std::vector<Link> links;
   for (const auto& p : join_preds_) {
@@ -428,154 +386,6 @@ std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
   return links;
 }
 
-void SpjExecutor::ExecuteStep(size_t input_id, std::vector<PartialRow>* rows) {
-  PollCancel();
-  const InputInfo& info = inputs_[input_id];
-  std::vector<Link> links = CollectLinks(input_id);
-  // Step filters that become ground at this step.
-  std::vector<const Atom*> filters;
-  for (const auto& f : step_filters_) {
-    if (f.last_input == input_id) filters.push_back(&f.atom);
-  }
-
-  std::vector<PartialRow> next;
-
-  auto emit_match = [&](const PartialRow& row, const Tuple& t, int64_t count) {
-    PartialRow merged;
-    merged.vals = row.vals;
-    for (size_t i = 0; i < info.arity; ++i) {
-      merged.vals[info.offset + i] = t.at(i);
-    }
-    merged.count = row.count * count;  // Section 5.2: join multiplies counts
-    if (!filters.empty()) {
-      Tuple view(std::vector<Value>(merged.vals));
-      for (const Atom* atom : filters) {
-        if (!atom->Evaluate(combined_, view)) return;
-      }
-    }
-    next.push_back(std::move(merged));
-  };
-
-  auto compute_key = [&](const PartialRow& row, const Link& link) {
-    const Value& bound_val = row.vals[link.bound_combined];
-    if (link.key_offset == 0) return bound_val;
-    return Value(bound_val.AsInt64() + link.key_offset);
-  };
-
-  auto check_links = [&](const PartialRow& row, const Tuple& t,
-                         size_t skip_link) {
-    for (size_t li = 0; li < links.size(); ++li) {
-      if (li == skip_link) continue;
-      if (t.at(links[li].local_attr) != compute_key(row, links[li])) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Strategy selection: index join when the input exposes an index on a
-  // connecting attribute and is large; otherwise hash join on all
-  // connecting attributes; cross join when nothing connects.  A warm
-  // persistent table beats an index-probe plan — its build is already paid
-  // for and its rows are pre-filtered — so peek before deciding.
-  std::vector<size_t> key_attrs;
-  key_attrs.reserve(links.size());
-  for (const auto& l : links) key_attrs.push_back(l.local_attr);
-
-  std::optional<size_t> probe_link;
-  for (size_t li = 0; li < links.size(); ++li) {
-    if (info.input->CanProbe(links[li].local_attr)) {
-      probe_link = li;
-      break;
-    }
-  }
-  bool warm = false;
-  if (JoinStateCache* jsc = info.input->join_cache();
-      jsc != nullptr && !links.empty()) {
-    warm = jsc->Peek(info.input->cache_slot(), key_attrs);
-  }
-  bool use_index = !warm && probe_link.has_value() &&
-                   info.input->SizeHint() > rows->size();
-
-  if (!links.empty() && !use_index) {
-    PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
-    // One scratch key reused across probes: assigning into its values
-    // recycles their string capacity instead of materializing a fresh
-    // tuple (and fresh strings) per probe.
-    Tuple probe_key(std::vector<Value>(links.size()));
-    for (const auto& row : *rows) {
-      auto& key_vals = probe_key.mutable_values();
-      for (size_t li = 0; li < links.size(); ++li) {
-        const Link& l = links[li];
-        const Value& bound_val = row.vals[l.bound_combined];
-        if (l.key_offset == 0) {
-          key_vals[li] = bound_val;
-        } else {
-          key_vals[li] = Value(bound_val.AsInt64() + l.key_offset);
-        }
-      }
-      auto hit = table->index.find(probe_key);
-      if (hit == table->index.end()) continue;
-      for (size_t idx : hit->second) {
-        const auto& [t, count] = table->rows[idx];
-        emit_match(row, t, count);
-      }
-    }
-  } else if (use_index) {
-    const Link& link = links[*probe_link];
-    // A reusable stack sink: the per-probe state is one pointer assignment
-    // (`row_`), not a fresh closure per probe.
-    class ProbeSink final : public DeltaSink {
-     public:
-      ProbeSink(SpjExecutor* e, const InputInfo& info,
-                decltype(check_links)& check, decltype(emit_match)& emit,
-                size_t skip_link)
-          : e_(e), info_(info), check_(check), emit_(emit),
-            skip_link_(skip_link) {}
-      void Emit(const Tuple& t, int64_t count) override {
-        if (!e_->PassesLocalFilters(info_, t)) return;
-        if (!check_(*row_, t, skip_link_)) return;
-        emit_(*row_, t, count);
-      }
-      const PartialRow* row_ = nullptr;
-
-     private:
-      SpjExecutor* e_;
-      const InputInfo& info_;
-      decltype(check_links)& check_;
-      decltype(emit_match)& emit_;
-      size_t skip_link_;
-    };
-    ProbeSink sink(this, info, check_links, emit_match, *probe_link);
-    for (const auto& row : *rows) {
-      ++local_stats_.probes;
-      sink.row_ = &row;
-      info.input->ProbeEqual(link.local_attr, compute_key(row, link), sink);
-    }
-  } else {
-    // Cross join against the (cached) materialized input.
-    PlannerCache::Table* table = MaterializeTable(input_id, {});
-    for (const auto& row : *rows) {
-      for (const auto& [t, count] : table->rows) {
-        emit_match(row, t, count);
-      }
-    }
-  }
-
-  local_stats_.intermediate_tuples += next.size();
-  rows->swap(next);
-}
-
-void SpjExecutor::Emit(const PartialRow& row) {
-  Tuple full(std::vector<Value>(row.vals));
-  if (need_residual_ && query_.condition != nullptr &&
-      !query_.condition->Evaluate(combined_, full)) {
-    return;
-  }
-  ++local_stats_.output_tuples;
-  out_->Add(full.Project(projection_indices_), row.count * multiplier_);
-}
-
 void SpjExecutor::Run() {
   Analyze();
   if (query_.condition != nullptr && query_.condition->IsTriviallyFalse()) {
@@ -586,35 +396,23 @@ void SpjExecutor::Run() {
   // Re-run the binding order, marking inputs bound step by step so that
   // each join step sees the correct bound set.
   bound_.assign(inputs_.size(), false);
-  if (ctx_ != nullptr && ctx_->enable_batch && ctx_->arena != nullptr) {
-    arena_ = ctx_->arena;
-    RunBatch();
-    if (ctx_->batch_stats != nullptr) *ctx_->batch_stats += batch_stats_;
-  } else {
-    RunTuple();
+  // A maintenance round lends its arena; a one-shot evaluation gets one
+  // scoped to this call, so its scratch is freed on return instead of
+  // lingering in a long-lived round arena (which keeps blocks on Reset).
+  util::Arena local_arena;
+  arena_ = ctx_ != nullptr && ctx_->arena != nullptr ? ctx_->arena
+                                                     : &local_arena;
+  RunBatch();
+  if (ctx_ != nullptr && ctx_->batch_stats != nullptr) {
+    *ctx_->batch_stats += batch_stats_;
   }
   if (stats_ != nullptr) *stats_ += local_stats_;
 }
 
-void SpjExecutor::RunTuple() {
-  std::vector<PartialRow> rows;
-  ExecuteFirst(&rows);
-  bound_[order_[0]] = true;
-  for (size_t s = 1; s < order_.size() && !rows.empty(); ++s) {
-    ExecuteStep(order_[s], &rows);
-    bound_[order_[s]] = true;
-  }
-  if (order_.size() == 1 || !rows.empty()) {
-    for (const auto& row : rows) Emit(row);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// The columnar batch backend.  Same plan (Analyze/ChooseOrder), same join
-// strategies per step (warm-peek → hash probe, index probe, cross join),
-// same counting semantics — but intermediate rows live in combined-scheme
-// `ColumnBatch` chunks carved from the round arena instead of per-row
-// heap-allocated `vector<Value>`s, selections run as kernels producing
+// Execution.  Intermediate rows live in combined-scheme `ColumnBatch`
+// chunks carved from the arena, one join step at a time (warm-peek → hash
+// probe, index probe, or cross join); selections run as kernels producing
 // selection vectors, and the final projection is a column shuffle.
 
 ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list) {
@@ -752,8 +550,11 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
     return true;
   };
 
-  // Strategy selection mirrors the tuple path exactly (including the
-  // warm-table peek), so both backends materialize the same cache state.
+  // Strategy selection: index join when the input exposes an index on a
+  // connecting attribute and is large; otherwise hash join on all
+  // connecting attributes; cross join when nothing connects.  A warm
+  // persistent table beats an index-probe plan — its build is already paid
+  // for and its rows are pre-filtered — so peek before deciding.
   std::vector<size_t> key_attrs;
   key_attrs.reserve(links.size());
   for (const auto& l : links) key_attrs.push_back(l.local_attr);
@@ -798,7 +599,9 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
         }
       }
     } else {
-      // One scratch key reused across probes, as in the tuple path.
+      // One scratch key reused across probes: assigning into its values
+      // recycles their string capacity instead of materializing a fresh
+      // tuple (and fresh strings) per probe.
       Tuple probe_key(std::vector<Value>(links.size()));
       for (const ColumnBatch& src : *batches) {
         for (size_t r = 0; r < src.size(); ++r) {

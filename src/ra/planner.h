@@ -106,17 +106,14 @@ struct BatchEvalStats {
   }
 };
 
-/// Execution-context knobs the differential maintainer threads into the
-/// planner.  When `enable_batch` is set (and `arena` is non-null) the
-/// executor runs the columnar pipeline: delta rows move through the join
-/// order in `ColumnBatch` chunks whose arrays live in `arena` (scoped to
-/// the maintenance round), selections produce selection vectors, and
-/// projection is column shuffling.  Without a context — or with the knob
-/// off — the historical tuple-at-a-time path runs; the two produce
-/// byte-identical results (property-tested).
+/// Execution context the differential maintainer threads into the planner.
+/// Every evaluation runs the columnar pipeline: rows move through the join
+/// order in `ColumnBatch` chunks, selections produce selection vectors, and
+/// projection is column shuffling.  `arena` (scoped to the maintenance
+/// round) holds the chunks when set; otherwise each call allocates them in
+/// an arena of its own, freed on return.
 struct EvalContext {
   util::Arena* arena = nullptr;
-  bool enable_batch = false;
   BatchEvalStats* batch_stats = nullptr;  // optional activity counters
   // Cooperative cancellation token (null = uncancellable).  The executor
   // polls it per join step and per allocated batch — never per tuple — so
@@ -132,8 +129,8 @@ struct EvalContext {
 /// The plan pushes single-input atoms below the joins, extracts equality
 /// atoms common to every disjunct as hash/index join predicates, orders
 /// joins greedily by input size (preferring index probes), and applies the
-/// remaining condition as a residual filter.  `ctx` selects the columnar
-/// batch pipeline (see `EvalContext`); null runs tuple-at-a-time.
+/// remaining condition as a residual filter.  `ctx` (may be null) supplies
+/// the arena, activity counters and cancellation token (see `EvalContext`).
 void EvaluateSpjInto(const SpjQuery& query, CountedRelation* out,
                      int64_t multiplier = 1, PlanStats* stats = nullptr,
                      PlannerCache* cache = nullptr,

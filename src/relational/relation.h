@@ -122,10 +122,6 @@ class CountedRelation {
   /// the map instead of copied (the batch sink's per-row fast path).
   void Add(Tuple&& tuple, int64_t count);
 
-  /// Pre-sizes the hash table for at least `n` distinct tuples, so a batch
-  /// of additions does not rehash incrementally.
-  void Reserve(size_t n) { counts_.reserve(n); }
-
   /// Returns the multiplicity of `tuple` (zero when absent).
   int64_t Count(const Tuple& tuple) const;
 

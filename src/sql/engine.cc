@@ -378,7 +378,8 @@ ViewDefinition EngineCore::BuildDefinition(const std::string& name,
                         resolver.ResolveCondition(query.where), projection);
 }
 
-Result EngineCore::ExecuteSelect(const SelectQuery& query) {
+Result EngineCore::ExecuteSelect(const SelectQuery& query,
+                                 const util::Cancellation* cancel) {
   // SELECT over a single registered view reads the materialization.  (The
   // lock-free snapshot path normally answers these first; this branch
   // remains for in-process callers that reach the dispatcher directly.)
@@ -389,7 +390,7 @@ Result EngineCore::ExecuteSelect(const SelectQuery& query) {
   ViewDefinition def = BuildDefinition("__query", query);
   def.Validate(db_);
   DifferentialMaintainer evaluator(def, &db_);
-  CountedRelation out = evaluator.FullEvaluate();
+  CountedRelation out = evaluator.FullEvaluate(nullptr, cancel);
   return RowsResult(out.schema(), out.ToSortedVector());
 }
 
@@ -816,7 +817,7 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
     case Kind::kUpdate:
       return ExecuteUpdate(stmt, pending, cancel);
     case Kind::kSelect:
-      return ExecuteSelect(stmt.query);
+      return ExecuteSelect(stmt.query, cancel);
     case Kind::kRefresh:
       views_.Refresh(stmt.name);
       return Message("view " + stmt.name + " refreshed (" +

@@ -183,11 +183,13 @@ class EngineCore {
 
   /// The statement dispatcher; the caller holds the lock `Classify`
   /// demanded.  `cancel` may be null; it reaches the maintenance poll
-  /// points through `CommitTransaction`.
+  /// points through `CommitTransaction` and the evaluator's poll points
+  /// through `ExecuteSelect`.
   Result ExecuteStatement(const Statement& stmt,
                           std::optional<Transaction>* pending,
                           const util::Cancellation* cancel);
-  Result ExecuteSelect(const SelectQuery& query);
+  Result ExecuteSelect(const SelectQuery& query,
+                       const util::Cancellation* cancel);
   /// The lock-free fast path: serves `query` (single-FROM over a view
   /// present in `snap`) from the epoch's immutable buffer.
   Result ExecuteSelectFromSnapshot(const EpochSnapshot& snap,

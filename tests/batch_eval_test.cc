@@ -1,10 +1,10 @@
-// Byte-identity contract of the columnar batch pipeline: for arbitrary
-// workloads, the batch evaluator must produce exactly the deltas and
-// materializations the tuple-at-a-time evaluator produces — and both must
-// equal a cold FullEvaluate — across every {enable_batch_eval ×
-// enable_join_cache} combination, through DML, DDL (view register/drop),
-// REFRESH, and WAL-replay recovery.  Plus unit tests for `ColumnBatch`
-// itself.
+// Identity contract of the columnar batch pipeline, the only evaluator:
+// for arbitrary workloads, views maintained through it and its one-shot
+// `FullEvaluate` must both equal the reference oracle (`ReferenceEvaluate`,
+// the definition evaluated tuple at a time by ra/eval.h, sharing no planner
+// code), with the join cache on and off, through DML, DDL (view
+// register/drop), REFRESH, and WAL-replay recovery.  Plus unit tests for
+// `ColumnBatch` itself.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ivm/view_manager.h"
+#include "ivm_test_util.h"
 #include "ra/batch.h"
 #include "sql/engine.h"
 #include "storage/storage.h"
@@ -127,8 +128,9 @@ TEST(CountedRelationSinkTest, BatchAndTupleEmissionAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Property: batch == tuple == cold FullEvaluate, delta by delta, across the
-// option grid, on the E9/E16 workload shapes.
+// Property: maintained (batch) == reference (tuple at a time) == cold
+// FullEvaluate (batch), delta by delta, with the join cache on and off, on
+// the E9/E16 workload shapes.
 
 struct Scenario {
   const char* name;
@@ -137,9 +139,8 @@ struct Scenario {
   size_t num_relations;  // 1..3 (r, s, t)
 };
 
-MaintenanceOptions Opts(bool batch, bool cache) {
+MaintenanceOptions Opts(bool cache) {
   MaintenanceOptions options;
-  options.enable_batch_eval = batch;
   options.enable_join_cache = cache;
   return options;
 }
@@ -162,12 +163,13 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
     for (const auto& spec : specs) bases.push_back(BaseRef{spec.name, {}});
     ViewDefinition def("v", bases, sc.condition, sc.projection);
 
-    // The four corners of the ablation grid; the tuple/no-cache maintainer
-    // is the reference every other corner must match byte for byte.
-    DifferentialMaintainer reference(def, &db, Opts(false, false));
-    DifferentialMaintainer tuple_cached(def, &db, Opts(false, true));
-    DifferentialMaintainer batch_plain(def, &db, Opts(true, false));
-    DifferentialMaintainer batch_cached(def, &db, Opts(true, true));
+    DifferentialMaintainer plain(def, &db, Opts(false));
+    DifferentialMaintainer cached(def, &db, Opts(true));
+    CountedRelation view_plain = plain.FullEvaluate();
+    CountedRelation view_cached = cached.FullEvaluate();
+    ASSERT_TRUE(
+        view_plain.SameContents(testing::ReferenceEvaluate(def, db)))
+        << sc.name << " initial evaluation diverged at round " << round;
 
     for (int step = 0; step < 10; ++step) {
       Transaction txn;
@@ -177,25 +179,41 @@ TEST_P(BatchIdentityTest, BatchEqualsTupleEqualsFullEvaluate) {
                        static_cast<size_t>(gen.rng().Uniform(0, 4)));
       }
       TransactionEffect effect = txn.Normalize(db);
-      ViewDelta expected = reference.ComputeDelta(effect);
-      for (auto* m : {&tuple_cached, &batch_plain, &batch_cached}) {
-        ViewDelta got = m->ComputeDelta(effect);
-        ASSERT_TRUE(got.inserts.SameContents(expected.inserts))
-            << sc.name << " inserts diverged at round " << round << " step "
-            << step << "\ngot:\n"
-            << got.inserts.ToString() << "expected:\n"
-            << expected.inserts.ToString();
-        ASSERT_TRUE(got.deletes.SameContents(expected.deletes))
-            << sc.name << " deletes diverged at round " << round << " step "
-            << step;
-      }
+      ViewDelta delta_plain = plain.ComputeDelta(effect);
+      ViewDelta delta_cached = cached.ComputeDelta(effect);
+      ASSERT_TRUE(delta_cached.inserts.SameContents(delta_plain.inserts))
+          << sc.name << " cached inserts diverged at round " << round
+          << " step " << step;
+      ASSERT_TRUE(delta_cached.deletes.SameContents(delta_plain.deletes))
+          << sc.name << " cached deletes diverged at round " << round
+          << " step " << step;
       effect.ApplyTo(&db);
+      delta_plain.ApplyTo(&view_plain);
+      delta_cached.ApplyTo(&view_cached);
+
+      CountedRelation expected = testing::ReferenceEvaluate(def, db);
+      ASSERT_TRUE(view_plain.SameContents(expected))
+          << sc.name << " diverged at round " << round << " step " << step
+          << "\nmaintained:\n"
+          << view_plain.ToString() << "expected:\n"
+          << expected.ToString();
+      ASSERT_TRUE(view_cached.SameContents(expected))
+          << sc.name << " cached view diverged at round " << round
+          << " step " << step;
       if (step % 3 == 2) {
-        // Cold identity on the updated base state.
-        CountedRelation cold_tuple = reference.FullEvaluate();
-        CountedRelation cold_batch = batch_plain.FullEvaluate();
-        ASSERT_TRUE(cold_batch.SameContents(cold_tuple))
+        // Cold one-shot evaluation on the updated base state, whole (as
+        // CREATE VIEW, REPAIR, full scrub and ad-hoc SELECT run it) and
+        // sliced (as the incremental scrubber runs it).
+        ASSERT_TRUE(plain.FullEvaluate().SameContents(expected))
             << sc.name << " cold evaluation diverged at round " << round
+            << " step " << step;
+        CountedRelation merged(expected.schema());
+        for (uint32_t slice = 0; slice < 3; ++slice) {
+          plain.FullEvaluateSlice(slice, 3).Scan(
+              [&](const Tuple& t, int64_t c) { merged.Add(t, c); });
+        }
+        ASSERT_TRUE(merged.SameContents(expected))
+            << sc.name << " sliced evaluation diverged at round " << round
             << " step " << step;
       }
     }
@@ -222,77 +240,87 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// End-to-end through the view manager: twin engines over identically seeded
-// databases — one maintaining every view with the batch pipeline, one with
-// the tuple pipeline — stay identical through DML, mid-stream DDL (drop +
-// re-register), and deferred REFRESH.
+// End-to-end through the view manager: twin managers over identically
+// seeded databases — one maintaining with the join cache, one without —
+// both equal the reference through DML, mid-stream DDL (drop +
+// re-register, which evaluates cold), and deferred REFRESH.
 
 TEST(BatchManagerIdentityTest, DmlDdlRefreshStayIdentical) {
   Rng seeds(0xba7c4e57u);
   for (int round = 0; round < 3; ++round) {
     const uint64_t seed = seeds.Next();
-    Database db_batch, db_tuple;
-    WorkloadGenerator gen_batch(seed), gen_tuple(seed);
+    Database db_cached, db_plain;
+    WorkloadGenerator gen_cached(seed), gen_plain(seed);
     RelationSpec r{"r", 2, 12, 40}, s{"s", 2, 12, 40};
     for (const auto& spec : {r, s}) {
-      gen_batch.Populate(&db_batch, spec);
-      gen_tuple.Populate(&db_tuple, spec);
+      gen_cached.Populate(&db_cached, spec);
+      gen_plain.Populate(&db_plain, spec);
     }
 
     ViewDefinition join("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
                         "r_a1 = s_a0", {"r_a0", "s_a1"});
     ViewDefinition sel("vs", {BaseRef{"r", {}}}, "r_a0 < 8", {"r_a1"});
 
-    ViewManager vm_batch(&db_batch), vm_tuple(&db_tuple);
-    vm_batch.RegisterView(join, MaintenanceMode::kImmediate, Opts(true, true));
-    vm_tuple.RegisterView(join, MaintenanceMode::kImmediate,
-                          Opts(false, true));
-    vm_batch.RegisterView(sel, MaintenanceMode::kDeferred, Opts(true, false));
-    vm_tuple.RegisterView(sel, MaintenanceMode::kDeferred, Opts(false, false));
+    ViewManager vm_cached(&db_cached), vm_plain(&db_plain);
+    vm_cached.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
+    vm_plain.RegisterView(join, MaintenanceMode::kImmediate, Opts(false));
+    vm_cached.RegisterView(sel, MaintenanceMode::kDeferred, Opts(true));
+    vm_plain.RegisterView(sel, MaintenanceMode::kDeferred, Opts(false));
+
+    // Both twins must equal the reference over their (identical) bases.
+    auto expect_reference = [&](const ViewDefinition& def,
+                                const std::string& where) {
+      CountedRelation expected = testing::ReferenceEvaluate(def, db_cached);
+      ASSERT_TRUE(vm_cached.View(def.name()).SameContents(expected))
+          << def.name() << " (cache on) diverged " << where;
+      ASSERT_TRUE(vm_plain.View(def.name()).SameContents(expected))
+          << def.name() << " (cache off) diverged " << where;
+    };
 
     for (int step = 0; step < 12; ++step) {
+      const std::string where = "at round " + std::to_string(round) +
+                                " step " + std::to_string(step);
       Transaction txn;
       for (const auto& spec : {r, s}) {
-        gen_batch.AddUpdates(&txn, spec,
-                             static_cast<size_t>(gen_batch.rng().Uniform(0, 4)),
-                             static_cast<size_t>(gen_batch.rng().Uniform(0, 4)));
+        gen_cached.AddUpdates(
+            &txn, spec, static_cast<size_t>(gen_cached.rng().Uniform(0, 4)),
+            static_cast<size_t>(gen_cached.rng().Uniform(0, 4)));
       }
-      vm_batch.Apply(txn);
-      vm_tuple.Apply(txn);
-      ASSERT_TRUE(vm_batch.View("vj").SameContents(vm_tuple.View("vj")))
-          << "vj diverged at round " << round << " step " << step;
+      vm_cached.Apply(txn);
+      vm_plain.Apply(txn);
+      expect_reference(join, where);
 
       if (step == 5) {
         // DDL mid-stream: replace the join view with a different shape;
-        // registration re-evaluates cold through each backend.
-        ViewDefinition spj("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
-                           "r_a1 = s_a0 && s_a1 > 3", {"r_a0"});
-        vm_batch.DropView("vj");
-        vm_tuple.DropView("vj");
-        vm_batch.RegisterView(spj, MaintenanceMode::kImmediate,
-                              Opts(true, true));
-        vm_tuple.RegisterView(spj, MaintenanceMode::kImmediate,
-                              Opts(false, true));
-        ASSERT_TRUE(vm_batch.View("vj").SameContents(vm_tuple.View("vj")))
-            << "re-registered vj diverged at round " << round;
+        // registration re-evaluates cold.
+        join = ViewDefinition("vj", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                              "r_a1 = s_a0 && s_a1 > 3", {"r_a0"});
+        vm_cached.DropView("vj");
+        vm_plain.DropView("vj");
+        vm_cached.RegisterView(join, MaintenanceMode::kImmediate, Opts(true));
+        vm_plain.RegisterView(join, MaintenanceMode::kImmediate, Opts(false));
+        expect_reference(join, "after re-registration " + where);
       }
       if (step % 4 == 3) {
-        vm_batch.Refresh("vs");
-        vm_tuple.Refresh("vs");
-        ASSERT_TRUE(vm_batch.View("vs").SameContents(vm_tuple.View("vs")))
-            << "refreshed vs diverged at round " << round << " step " << step;
+        vm_cached.Refresh("vs");
+        vm_plain.Refresh("vs");
+        expect_reference(sel, "after refresh " + where);
       }
     }
+    // REPAIR recomputes from the bases.
+    vm_cached.Repair("vj");
+    vm_plain.Repair("vj");
+    expect_reference(join, "after repair at round " + std::to_string(round));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Recovery: a durable engine maintained by the batch pipeline is killed
-// without a close checkpoint, so reopening replays the WAL through the
-// batch-arm ApplyEffect path.  The recovered materializations must equal a
-// tuple-arm cold evaluation over the recovered base tables.
+// Recovery: a durable engine is killed without a close checkpoint, so
+// reopening replays the WAL through the batch-pipeline ApplyEffect path.
+// The recovered materializations must equal the reference over the
+// recovered base tables, and so must a cold FullEvaluate.
 
-TEST(BatchRecoveryIdentityTest, ReplayedViewsMatchTupleArmColdEvaluation) {
+TEST(BatchRecoveryIdentityTest, ReplayedViewsMatchReferenceEvaluation) {
   const auto dir = std::filesystem::path(::testing::TempDir()) /
                    "batch_recovery_identity";
   std::filesystem::remove_all(dir);
@@ -321,23 +349,19 @@ TEST(BatchRecoveryIdentityTest, ReplayedViewsMatchTupleArmColdEvaluation) {
   sql::Engine recovered(storage.get());
   recovered.Execute("REFRESH VIEW small_a");
 
-  Database& db = recovered.mutable_database();
-  MaintenanceOptions tuple_opts = Opts(false, false);
-  DifferentialMaintainer joined_oracle(
-      ViewDefinition("o1", {BaseRef{"r", {}}, BaseRef{"s", {}}}, "b = b2",
-                     {"a", "c"}),
-      &db, tuple_opts);
-  DifferentialMaintainer small_oracle(
-      ViewDefinition("o2", {BaseRef{"r", {}}}, "a < 100", {"a", "b"}), &db,
-      tuple_opts);
-  EXPECT_TRUE(
-      recovered.views().View("joined").SameContents(joined_oracle.FullEvaluate()))
-      << "recovered 'joined':\n"
-      << recovered.views().View("joined").ToString();
-  EXPECT_TRUE(
-      recovered.views().View("small_a").SameContents(small_oracle.FullEvaluate()))
-      << "recovered 'small_a':\n"
-      << recovered.views().View("small_a").ToString();
+  const Database& db = recovered.database();
+  for (const char* name : {"joined", "small_a"}) {
+    const DifferentialMaintainer& m = recovered.views().Maintainer(name);
+    CountedRelation expected = testing::ReferenceEvaluate(m.definition(), db);
+    EXPECT_TRUE(recovered.views().View(name).SameContents(expected))
+        << "recovered '" << name << "':\n"
+        << recovered.views().View(name).ToString() << "expected:\n"
+        << expected.ToString();
+    EXPECT_TRUE(m.FullEvaluate().SameContents(expected)) << name;
+  }
+  // An ad-hoc SELECT of a view's definition reads what the view holds.
+  EXPECT_EQ(recovered.Execute("SELECT a, c FROM r, s WHERE b = b2").ToString(),
+            recovered.Execute("SELECT * FROM joined").ToString());
 }
 
 }  // namespace

@@ -344,6 +344,44 @@ TEST_F(ChaosMatrixTest, ArenaExhaustionQuarantinesInsteadOfCorrupting) {
   EXPECT_EQ(Dump(engine, "vb"), Dump(reference, "vb"));
 }
 
+// The one-shot evaluator allocates its batches from an arena too, so a
+// sticky scratch fault also fails the full recompute REPAIR runs.  That
+// failure must be clean: the view stays quarantined, the base tables keep
+// the committed state, and REPAIR heals the view once the fault is gone.
+TEST_F(ChaosMatrixTest, StickyArenaFaultFailsRepairCleanlyUntilDisarmed) {
+  Engine reference;
+  reference.ExecuteScript(Preamble());
+  Engine engine;
+  engine.ExecuteScript(Preamble());
+  for (Engine* e : {&reference, &engine}) {
+    e->Execute("INSERT INTO r VALUES (1, 10)");
+    e->Execute("INSERT INTO s VALUES (10, 100)");
+  }
+
+  reference.Execute("INSERT INTO s VALUES (20, 200)");
+  FaultSpec oom;
+  oom.kind = FaultKind::kIoError;
+  oom.sticky = true;
+  FaultRegistry::Global().Arm("ra.batch.alloc", oom);
+  engine.Execute("INSERT INTO s VALUES (20, 200)");
+  ASSERT_TRUE(engine.views().IsQuarantined("va"));
+
+  const int64_t fired = FaultRegistry::Global().FireCount("ra.batch.alloc");
+  Status status = engine.TryExecute("REPAIR VIEW va", nullptr);
+  EXPECT_FALSE(status.ok);
+  EXPECT_GT(FaultRegistry::Global().FireCount("ra.batch.alloc"), fired)
+      << "the repair's full evaluation must reach the arena";
+  EXPECT_TRUE(engine.views().IsQuarantined("va"));
+  FaultRegistry::Global().DisarmAll();
+
+  EXPECT_EQ(Dump(engine, "r"), Dump(reference, "r"));
+  EXPECT_EQ(Dump(engine, "s"), Dump(reference, "s"));
+  EXPECT_TRUE(engine.views().IsQuarantined("va"));
+  engine.Execute("REPAIR VIEW va");
+  EXPECT_FALSE(engine.views().IsQuarantined("va"));
+  EXPECT_EQ(Dump(engine, "va"), Dump(reference, "va"));
+}
+
 // Satellite (b): an exception inside a join-cache round must unwind
 // through AbortRound — the next delta computation starts a fresh round
 // instead of tripping over a still-open one.

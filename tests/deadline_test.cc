@@ -265,6 +265,42 @@ TEST(DeadlineUnwindPropertyTest, StagedScanPollsEvery1024Rows) {
   EXPECT_EQ(polls_of("UPDATE big SET k = 0 WHERE g = 7 AND k < 100"), 2);
 }
 
+// An ad-hoc SELECT over base tables runs the full SPJ evaluator under the
+// shared lock; its join steps and batches poll the statement's token, so a
+// deadline (or a drain force-cancel) stops it mid-evaluation instead of
+// only before the lock.
+TEST(DeadlineUnwindPropertyTest, AdHocJoinSelectPollsDuringEvaluation) {
+  const std::string select = "SELECT a, d FROM r, s WHERE b = c";
+  Engine engine;
+  engine.ExecuteScript(kPreamble);
+  Engine shadow;
+  shadow.ExecuteScript(kPreamble);
+  const std::string expected = engine.Execute(select).ToString();
+  int completed_at = -1;
+  for (int k = 0; k < 64; ++k) {
+    std::unique_ptr<sql::Session> session = engine.CreateSession();
+    sql::Result rows;
+    Status status;
+    {
+      FaultSpec spec;
+      spec.kind = FaultKind::kDeadline;
+      spec.hits_before = k;
+      ScopedFault fault("cancel.poll", spec);
+      Cancellation token;
+      status = session->TryExecute(select, &rows, &token);
+    }
+    ExpectSameVisibleState(engine, shadow);
+    if (status.ok) {
+      EXPECT_EQ(rows.ToString(), expected);
+      completed_at = k;
+      break;
+    }
+    ASSERT_EQ(status.kind, Status::Kind::kDeadlineExceeded) << status.message;
+  }
+  // The pre-lock poll, then at least one per join step.
+  EXPECT_GE(completed_at, 3) << "the evaluation itself must poll";
+}
+
 TEST(DeadlineUnwindPropertyTest, AbortedCommitKeepsTransactionIntegrity) {
   // A BEGIN…COMMIT whose COMMIT dies at each poll point: the staged
   // transaction must be fully preserved (still pending, retryable), and
