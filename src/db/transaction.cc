@@ -91,11 +91,20 @@ TransactionEffect Transaction::Normalize(const Database& db) const {
   // final presence; compare with its pre-state presence to get the net
   // effect (Section 3: r, i_r, d_r mutually disjoint).
   std::map<std::string, std::unordered_map<Tuple, bool>> overlay;
+  // Consecutive ops on one relation (a multi-row INSERT is thousands) share
+  // one catalog lookup and one overlay lookup.
+  const std::string* current = nullptr;
+  size_t arity = 0;
+  std::unordered_map<Tuple, bool>* tuples = nullptr;
   for (const auto& op : ops_) {
-    const Relation& r = db.Get(op.relation);
-    MVIEW_CHECK(op.tuple.size() == r.schema().size(),
+    if (current == nullptr || op.relation != *current) {
+      arity = db.Get(op.relation).schema().size();
+      tuples = &overlay[op.relation];
+      current = &op.relation;
+    }
+    MVIEW_CHECK(op.tuple.size() == arity,
                 "tuple arity does not match relation ", op.relation);
-    overlay[op.relation][op.tuple] = op.is_insert;
+    (*tuples)[op.tuple] = op.is_insert;
   }
   TransactionEffect effect;
   for (auto& [name, tuples] : overlay) {

@@ -83,12 +83,11 @@ DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
     : def_(std::move(def)), db_(db), options_(options) {
   MVIEW_CHECK(db_ != nullptr, "null database");
   def_.Validate(*db_);
-  combined_ = def_.CombinedSchema(*db_);
-  output_ = def_.OutputSchema(*db_);
   aliased_.reserve(def_.bases().size());
   for (size_t i = 0; i < def_.bases().size(); ++i) {
     aliased_.push_back(def_.AliasedSchema(*db_, i));
   }
+  plan_.emplace(aliased_, &def_.condition(), def_.projection());
   filter_ = std::make_unique<IrrelevanceFilter>(def_, *db_);
   layout_ =
       ComputePartitionLayout(def_.condition(), aliased_, options_.partition_count);
@@ -279,7 +278,7 @@ ViewDelta DifferentialMaintainer::ComputePartition(
     round.emplace(shard);
     shard->BeginRound(prep.slots);
   }
-  ViewDelta delta(output_);
+  ViewDelta delta(output_schema());
   if (prep.active[p]) {
     const bool keyed = layout_.keyed && layout_.count > 1;
     const std::vector<BaseParts>& full = keyed ? prep.sliced[p] : prep.parts;
@@ -308,7 +307,7 @@ ViewDelta DifferentialMaintainer::ComputePartition(
 
 ViewDelta DifferentialMaintainer::MergePartitions(std::vector<ViewDelta> slices,
                                                   MaintenanceStats* stats) const {
-  ViewDelta merged(output_);
+  ViewDelta merged(output_schema());
   if (slices.size() == 1) {
     merged = std::move(slices.front());
   } else if (!slices.empty()) {
@@ -453,7 +452,7 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
     }
   }
 
-  ViewDelta delta(output_);
+  ViewDelta delta(output_schema());
   PlannerCache cache;
   PlannerCache* cache_ptr =
       options_.reuse_subexpressions ? &cache : nullptr;
@@ -491,8 +490,6 @@ void DifferentialMaintainer::EnumerateTelescoped(
     MaintenanceStats* stats, PlannerCache* cache,
     const EvalContext* ctx) const {
   size_t n = def_.bases().size();
-  const Condition& condition = def_.condition();
-  bool trivially_true = condition.IsTriviallyTrue();
 
   // old_i = clean_i ∪ d_i (the pre-change contents), new_i = clean_i ∪ i_i
   // (the post-change contents); both degenerate to clean_i for untouched
@@ -530,12 +527,8 @@ void DifferentialMaintainer::EnumerateTelescoped(
       if (input->SizeHint() == 0) return;
     }
     if (stats != nullptr) ++stats->rows_evaluated;
-    SpjQuery query;
-    query.inputs = std::move(row);
-    query.condition = trivially_true ? nullptr : &condition;
-    query.projection = def_.projection();
-    EvaluateSpjInto(query, is_delete ? &delta->deletes : &delta->inserts, 1,
-                    stats != nullptr ? &stats->plan : nullptr, cache, ctx);
+    plan_->Execute(row, is_delete ? &delta->deletes : &delta->inserts, 1,
+                   stats != nullptr ? &stats->plan : nullptr, cache, ctx);
   };
 
   for (size_t j = 0; j < n; ++j) {
@@ -557,8 +550,6 @@ void DifferentialMaintainer::EnumerateRows(
     MaintenanceStats* stats, PlannerCache* cache,
     const EvalContext* ctx) const {
   size_t n = def_.bases().size();
-  const Condition& condition = def_.condition();
-  bool trivially_true = condition.IsTriviallyTrue();
 
   // Recursive expansion of Π(clean_i + ins_i) − Π(clean_i + del_i)
   // (Section 5.3's truth table, mixed transactions handled by the tag rule
@@ -572,12 +563,8 @@ void DifferentialMaintainer::EnumerateRows(
       if (input->SizeHint() == 0) return;  // empty part: the join vanishes
     }
     if (stats != nullptr) ++stats->rows_evaluated;
-    SpjQuery query;
-    query.inputs.assign(row.begin(), row.end());
-    query.condition = trivially_true ? nullptr : &condition;
-    query.projection = def_.projection();
-    EvaluateSpjInto(query, is_delete ? &delta->deletes : &delta->inserts, 1,
-                    stats != nullptr ? &stats->plan : nullptr, cache, ctx);
+    plan_->Execute(row, is_delete ? &delta->deletes : &delta->inserts, 1,
+                   stats != nullptr ? &stats->plan : nullptr, cache, ctx);
   };
 
   // has_delta: whether a non-clean part has been chosen so far;
@@ -613,20 +600,17 @@ void DifferentialMaintainer::EnumerateRows(
 CountedRelation DifferentialMaintainer::FullEvaluate(
     PlanStats* stats, const util::Cancellation* cancel) const {
   size_t n = def_.bases().size();
-  std::vector<std::unique_ptr<RelationInput>> inputs(n);
-  SpjQuery query;
+  std::vector<std::unique_ptr<RelationInput>> owned(n);
+  std::vector<const RelationInput*> inputs(n);
   for (size_t i = 0; i < n; ++i) {
-    inputs[i] = std::make_unique<FullRelationInput>(
+    owned[i] = std::make_unique<FullRelationInput>(
         &db_->Get(def_.bases()[i].relation), aliased_[i]);
-    query.inputs.push_back(inputs[i].get());
+    inputs[i] = owned[i].get();
   }
-  const Condition& condition = def_.condition();
-  query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
-  query.projection = def_.projection();
   EvalContext ctx;
   ctx.cancel = cancel;
-  CountedRelation out(output_);
-  EvaluateSpjInto(query, &out, 1, stats, nullptr, &ctx);
+  CountedRelation out(output_schema());
+  plan_->Execute(inputs, &out, 1, stats, nullptr, &ctx);
   return out;
 }
 
@@ -634,8 +618,8 @@ CountedRelation DifferentialMaintainer::FullEvaluateSlice(
     uint32_t slice, uint32_t total, PlanStats* stats) const {
   MVIEW_CHECK(total >= 1 && slice < total, "evaluation slice out of range");
   size_t n = def_.bases().size();
-  std::vector<std::unique_ptr<RelationInput>> inputs(n);
-  SpjQuery query;
+  std::vector<std::unique_ptr<RelationInput>> owned(n);
+  std::vector<const RelationInput*> inputs(n);
   for (size_t i = 0; i < n; ++i) {
     const Relation& rel = db_->Get(def_.bases()[i].relation);
     if (i == 0) {
@@ -643,18 +627,15 @@ CountedRelation DifferentialMaintainer::FullEvaluateSlice(
       // join is linear in each input), so the `total` slices sum to
       // exactly `FullEvaluate` — no condition analysis needed, hence the
       // whole-tuple hash regardless of the view's partition layout.
-      inputs[i] = std::make_unique<PartitionSliceInput>(
+      owned[i] = std::make_unique<PartitionSliceInput>(
           &rel, aliased_[i], /*minus=*/nullptr, kRowHashKey, slice, total);
     } else {
-      inputs[i] = std::make_unique<FullRelationInput>(&rel, aliased_[i]);
+      owned[i] = std::make_unique<FullRelationInput>(&rel, aliased_[i]);
     }
-    query.inputs.push_back(inputs[i].get());
+    inputs[i] = owned[i].get();
   }
-  const Condition& condition = def_.condition();
-  query.condition = condition.IsTriviallyTrue() ? nullptr : &condition;
-  query.projection = def_.projection();
-  CountedRelation out(output_);
-  EvaluateSpjInto(query, &out, 1, stats, nullptr);
+  CountedRelation out(output_schema());
+  plan_->Execute(inputs, &out, 1, stats);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define MVIEW_IVM_DIFFERENTIAL_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "db/transaction.h"
@@ -156,7 +157,9 @@ struct BaseParts {
 class DifferentialMaintainer {
  public:
   /// Compiles maintenance machinery for `def` over `db` (whose relations
-  /// must outlive this object).  Throws when the definition is invalid.
+  /// must outlive this object, with their schemes unchanged) — including
+  /// the one `SpjPlan` every later evaluation executes.  Throws when the
+  /// definition is invalid.
   DifferentialMaintainer(ViewDefinition def, const Database* db,
                          MaintenanceOptions options = {});
 
@@ -276,7 +279,7 @@ class DifferentialMaintainer {
 
   const ViewDefinition& definition() const { return def_; }
   const IrrelevanceFilter& filter() const { return *filter_; }
-  const Schema& output_schema() const { return output_; }
+  const Schema& output_schema() const { return plan_->output_schema(); }
   const MaintenanceOptions& options() const { return options_; }
 
   /// The partition layout chosen for this view (count 1 = unpartitioned).
@@ -335,9 +338,14 @@ class DifferentialMaintainer {
   ViewDefinition def_;
   const Database* db_;
   MaintenanceOptions options_;
-  Schema combined_;
-  Schema output_;
+  // Base occurrence i's scheme under the view's aliases.  Every input the
+  // maintainer builds reports one of these handles, so they all share the
+  // representation the plan was compiled against.
   std::vector<Schema> aliased_;
+  // The view's SPJ plan over `aliased_`, compiled once: every truth-table
+  // row, telescoped term and full evaluation executes it.  Immutable, so
+  // concurrent partitions share it.
+  std::optional<SpjPlan> plan_;
   PartitionLayout layout_;
   std::unique_ptr<IrrelevanceFilter> filter_;
   // One join-state cache shard per partition (empty when the cache is

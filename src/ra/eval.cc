@@ -26,20 +26,6 @@ void SplitJoinAttributes(const Schema& left, const Schema& right,
   }
 }
 
-// The tuple twin of the batch `EvalBoundAtom`.
-bool EvalBoundAtom(const Tuple& tuple, const BoundAtom& atom) {
-  const Value& left = tuple.at(atom.lhs_col);
-  if (!atom.var_var) return EvalCompare(left.Compare(atom.rhs_const), atom.op);
-  const Value& right = tuple.at(atom.rhs_col);
-  if (left.type() == ValueType::kInt64) {
-    // Matches Atom::Evaluate exactly: x op y + c compares x − c against y.
-    const int64_t l = left.AsInt64() - atom.offset;
-    const int64_t r = right.AsInt64();
-    return EvalCompare(l < r ? -1 : (l > r ? 1 : 0), atom.op);
-  }
-  return EvalCompare(left.Compare(right), atom.op);
-}
-
 Schema JoinSchema(const Schema& left, const Schema& right) {
   std::vector<size_t> ls, rs, rr;
   SplitJoinAttributes(left, right, &ls, &rs, &rr);
@@ -192,6 +178,19 @@ BoundAtom BindAtom(const Atom& atom, const Schema& schema, size_t col_offset) {
     bound.rhs_const = atom.rhs_const;
   }
   return bound;
+}
+
+bool EvalBoundAtom(const Tuple& tuple, const BoundAtom& atom) {
+  const Value& left = tuple.at(atom.lhs_col);
+  if (!atom.var_var) return EvalCompare(left.Compare(atom.rhs_const), atom.op);
+  const Value& right = tuple.at(atom.rhs_col);
+  if (left.type() == ValueType::kInt64) {
+    // Matches Atom::Evaluate exactly: x op y + c compares x − c against y.
+    const int64_t l = left.AsInt64() - atom.offset;
+    const int64_t r = right.AsInt64();
+    return EvalCompare(l < r ? -1 : (l > r ? 1 : 0), atom.op);
+  }
+  return EvalCompare(left.Compare(right), atom.op);
 }
 
 bool EvalBoundAtom(const ColumnBatch& batch, size_t row,

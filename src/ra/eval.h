@@ -48,6 +48,10 @@ BoundAtom BindAtom(const Atom& atom, const Schema& schema,
 /// semantics to `Atom::Evaluate` on the materialized row.
 bool EvalBoundAtom(const ColumnBatch& batch, size_t row, const BoundAtom& atom);
 
+/// The tuple twin: evaluates `atom` against `tuple` (the scheme it was
+/// bound against, with no column offset).
+bool EvalBoundAtom(const Tuple& tuple, const BoundAtom& atom);
+
 /// The selection kernel: refines the selection vector `sel` (holding `n`
 /// row ids of `batch`) to the rows passing *every* atom of the
 /// conjunction, preserving order.  Returns the surviving count.

@@ -128,7 +128,7 @@ PlannerCache::Table* JoinStateCache::Lookup(
 
 PlannerCache::Table* JoinStateCache::Install(
     uint32_t slot, const std::vector<size_t>& key_attrs, const Schema& schema,
-    const std::vector<Atom>& filters) {
+    const std::vector<BoundAtom>& filters) {
   if (!round_active_ || slot >= slots_.size()) return nullptr;
   ++counters_.misses;
   auto& entry_ptr = entries_[Key{slot, key_attrs}];
@@ -167,8 +167,8 @@ void JoinStateCache::CompleteInstall(uint32_t slot,
 }
 
 void JoinStateCache::AddRow(Entry* entry, const Tuple& tuple) {
-  for (const Atom& atom : entry->filters) {
-    if (!atom.Evaluate(entry->schema, tuple)) return;
+  for (const BoundAtom& atom : entry->filters) {
+    if (!EvalBoundAtom(tuple, atom)) return;
   }
   const size_t row = entry->table.rows.size();
   entry->table.rows.emplace_back(tuple, 1);

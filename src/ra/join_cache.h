@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "predicate/condition.h"
+#include "ra/eval.h"
 #include "ra/planner.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
@@ -123,12 +123,13 @@ class JoinStateCache {
   /// to fill with the clean input's filtered rows, or nullptr when no
   /// round is active (caller falls back to its per-round cache).  `schema`
   /// and `filters` are the input's aliased scheme and the local filter
-  /// atoms the caller applies while filling; the cache replays inserts
-  /// through them on every future `EndRound`.  Counts a miss.
+  /// atoms (bound to that scheme) the caller applies while filling; the
+  /// cache replays inserts through them on every future `EndRound`.
+  /// Counts a miss.
   PlannerCache::Table* Install(uint32_t slot,
                                const std::vector<size_t>& key_attrs,
                                const Schema& schema,
-                               const std::vector<Atom>& filters);
+                               const std::vector<BoundAtom>& filters);
 
   /// Finalizes the entry begun by `Install` (row accounting, reverse map
   /// for keyless entries, eviction).  Until this is called the entry is
@@ -152,7 +153,7 @@ class JoinStateCache {
   struct Entry {
     PlannerCache::Table table;
     Schema schema;              // aliased scheme of the cached input
-    std::vector<Atom> filters;  // local filters applied at build time
+    std::vector<BoundAtom> filters;  // local filters applied at build time
     // Reverse map (full tuple → row index) for keyless entries only;
     // keyed entries locate rows through their own hash index.
     std::unordered_map<Tuple, size_t> row_of;

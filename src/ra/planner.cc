@@ -52,24 +52,8 @@ Schema CombinedSchema(const SpjQuery& query) {
 
 namespace {
 
-// An equality join predicate `a.attr_a = b.attr_b + offset` between two
-// inputs, extracted from the condition's conjunctive core.
-struct JoinPred {
-  size_t input_a = 0;
-  size_t attr_a = 0;  // local attribute index within input_a
-  size_t input_b = 0;
-  size_t attr_b = 0;
-  int64_t offset = 0;
-};
-
-// A cross-input core atom enforced once all its inputs are bound.
-struct StepFilter {
-  Atom atom;
-  size_t last_input = 0;  // the step at which the atom becomes ground
-};
-
 // A connecting equi-join predicate at one join step: bound side expressed
-// as a combined-tuple index plus the offset to apply, local side as an
+// as a combined-row index plus the offset to apply, local side as an
 // attribute of the step's input.
 struct Link {
   size_t bound_combined = 0;  // index of the bound value in the partial row
@@ -77,11 +61,98 @@ struct Link {
   int64_t key_offset = 0;  // probe key = bound value + key_offset
 };
 
-class SpjExecutor {
+}  // namespace
+
+SpjPlan::SpjPlan(std::vector<Schema> input_schemas, const Condition* condition,
+                 const std::vector<std::string>& projection) {
+  MVIEW_CHECK(!input_schemas.empty(), "SPJ query needs at least one input");
+  inputs_.resize(input_schemas.size());
+  size_t offset = 0;
+  for (size_t i = 0; i < input_schemas.size(); ++i) {
+    Input& in = inputs_[i];
+    in.schema = std::move(input_schemas[i]);
+    in.offset = offset;
+    in.arity = in.schema.size();
+    in.all_int = std::all_of(
+        in.schema.attributes().begin(), in.schema.attributes().end(),
+        [](const Attribute& a) { return a.type == ValueType::kInt64; });
+    offset += in.arity;
+    combined_ = combined_.Concat(in.schema);
+  }
+  if (condition != nullptr) condition->Validate(combined_);
+
+  if (projection.empty()) {
+    output_ = combined_;
+    projection_indices_.resize(combined_.size());
+    for (size_t i = 0; i < combined_.size(); ++i) projection_indices_[i] = i;
+  } else {
+    output_ = combined_.Project(projection, &projection_indices_);
+  }
+
+  if (condition == nullptr) return;
+  if (condition->IsTriviallyFalse()) {
+    always_false_ = true;
+    return;
+  }
+  // The conjunctive core: atoms appearing in every disjunct.  These are
+  // implied by the condition, so they can be enforced during the joins; the
+  // full condition is re-checked as a residual only when disjunction makes
+  // the core incomplete.
+  const auto& disjuncts = condition->disjuncts();
+  std::vector<Atom> core;
+  for (const auto& atom : disjuncts.front().atoms) {
+    bool everywhere = true;
+    for (size_t d = 1; d < disjuncts.size(); ++d) {
+      const auto& atoms = disjuncts[d].atoms;
+      if (std::find(atoms.begin(), atoms.end(), atom) == atoms.end()) {
+        everywhere = false;
+        break;
+      }
+    }
+    if (everywhere) core.push_back(atom);
+  }
+  need_residual_ = disjuncts.size() > 1;
+  if (need_residual_) residual_ = BindCondition(*condition, combined_);
+
+  // The input owning `var` and its local attribute index.
+  auto resolve = [&](const std::string& var) -> std::pair<size_t, size_t> {
+    for (size_t i = 0; i < inputs_.size(); ++i) {
+      if (auto idx = inputs_[i].schema.IndexOf(var)) return {i, *idx};
+    }
+    internal::ThrowError("condition variable not found in any input: ", var);
+  };
+  auto add_local = [&](size_t i, const Atom& atom) {
+    Input& in = inputs_[i];
+    in.filters.push_back(BindAtom(atom, in.schema));
+    in.batch_filters.push_back(BindAtom(atom, in.schema, in.offset));
+  };
+  for (const auto& atom : core) {
+    auto [li, la] = resolve(atom.lhs);
+    if (!atom.rhs_var.has_value()) {
+      add_local(li, atom);
+      continue;
+    }
+    auto [ri, ra] = resolve(*atom.rhs_var);
+    if (li == ri) {
+      add_local(li, atom);
+    } else if (atom.op == CompareOp::kEq) {
+      join_preds_.push_back({li, la, ri, ra, atom.offset});
+    } else {
+      step_filters_.push_back({BindAtom(atom, combined_), li, ri});
+    }
+  }
+}
+
+// One execution of a plan over concrete inputs.  Everything that depends on
+// the inputs' sizes — the join order and where each step filter runs — is
+// decided here, per execution, so one plan serves concurrent executions.
+class SpjPlan::Executor {
  public:
-  SpjExecutor(const SpjQuery& query, CountedRelation* out, int64_t multiplier,
-              PlanStats* stats, PlannerCache* cache, const EvalContext* ctx)
-      : query_(query),
+  Executor(const SpjPlan& plan, const std::vector<const RelationInput*>& inputs,
+           CountedRelation* out, int64_t multiplier, PlanStats* stats,
+           PlannerCache* cache, const EvalContext* ctx)
+      : plan_(plan),
+        inputs_(inputs),
         out_(out),
         multiplier_(multiplier),
         stats_(stats),
@@ -91,17 +162,8 @@ class SpjExecutor {
   void Run();
 
  private:
-  struct InputInfo {
-    const RelationInput* input = nullptr;
-    size_t offset = 0;  // position of this input's attributes in the
-                        // combined tuple
-    size_t arity = 0;
-    std::vector<Atom> local_filters;  // single-input core atoms
-  };
-
-  void Analyze();
   void ChooseOrder();
-  bool PassesLocalFilters(const InputInfo& info, const Tuple& t) const;
+  bool PassesLocalFilters(const Input& info, const Tuple& t) const;
   std::vector<Link> CollectLinks(size_t input_id) const;
 
   // Columnar batch execution of the chosen plan.
@@ -120,15 +182,13 @@ class SpjExecutor {
     if (ctx_ != nullptr && ctx_->cancel != nullptr) ctx_->cancel->Check();
   }
 
-  // Returns the input owning `var` and its local attribute index.
-  std::pair<size_t, size_t> Resolve(const std::string& var) const;
-
   PlannerCache::Table* MaterializeTable(size_t input_id,
                                         const std::vector<size_t>& key_attrs);
-  void FillTable(const InputInfo& info, const std::vector<size_t>& key_attrs,
+  void FillTable(size_t input_id, const std::vector<size_t>& key_attrs,
                  PlannerCache::Table* table);
 
-  const SpjQuery& query_;
+  const SpjPlan& plan_;
+  const std::vector<const RelationInput*>& inputs_;
   CountedRelation* out_;
   int64_t multiplier_;
   PlanStats* stats_;
@@ -138,97 +198,22 @@ class SpjExecutor {
   // Owns tables when no external cache was supplied.
   PlannerCache local_cache_;
 
-  Schema combined_;
-  std::vector<InputInfo> inputs_;
-  std::vector<JoinPred> join_preds_;
-  std::vector<StepFilter> step_filters_;
   std::vector<size_t> order_;
   std::vector<bool> bound_;
-  bool need_residual_ = false;
-  std::vector<size_t> projection_indices_;
+  // Per step filter: the input whose join step makes it ground.
+  std::vector<size_t> step_filter_input_;
   PlanStats local_stats_;
   BatchEvalStats batch_stats_;
 };
 
-std::pair<size_t, size_t> SpjExecutor::Resolve(const std::string& var) const {
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (auto idx = inputs_[i].input->schema().IndexOf(var)) return {i, *idx};
-  }
-  internal::ThrowError("condition variable not found in any input: ", var);
-}
-
-void SpjExecutor::Analyze() {
-  MVIEW_CHECK(!query_.inputs.empty(), "SPJ query needs at least one input");
-  inputs_.resize(query_.inputs.size());
-  size_t offset = 0;
-  for (size_t i = 0; i < query_.inputs.size(); ++i) {
-    inputs_[i].input = query_.inputs[i];
-    inputs_[i].offset = offset;
-    inputs_[i].arity = query_.inputs[i]->schema().size();
-    offset += inputs_[i].arity;
-  }
-  combined_ = CombinedSchema(query_);
-  if (query_.condition != nullptr) query_.condition->Validate(combined_);
-
-  if (query_.projection.empty()) {
-    projection_indices_.resize(combined_.size());
-    for (size_t i = 0; i < combined_.size(); ++i) projection_indices_[i] = i;
-  } else {
-    combined_.Project(query_.projection, &projection_indices_);
-  }
-
-  const Condition* cond = query_.condition;
-  if (cond == nullptr || cond->IsTriviallyFalse() ||
-      cond->disjuncts().empty()) {
-    need_residual_ = cond != nullptr && cond->IsTriviallyFalse();
-    return;
-  }
-  // The conjunctive core: atoms appearing in every disjunct.  These are
-  // implied by the condition, so they can be enforced during the joins; the
-  // full condition is re-checked as a residual only when disjunction makes
-  // the core incomplete.
-  std::vector<Atom> core;
-  for (const auto& atom : cond->disjuncts().front().atoms) {
-    bool everywhere = true;
-    for (size_t d = 1; d < cond->disjuncts().size(); ++d) {
-      const auto& atoms = cond->disjuncts()[d].atoms;
-      if (std::find(atoms.begin(), atoms.end(), atom) == atoms.end()) {
-        everywhere = false;
-        break;
-      }
-    }
-    if (everywhere) core.push_back(atom);
-  }
-  need_residual_ = cond->disjuncts().size() > 1;
-
-  for (const auto& atom : core) {
-    auto [li, la] = Resolve(atom.lhs);
-    if (!atom.rhs_var.has_value()) {
-      Atom local = atom;  // names are shared with the input's scheme
-      inputs_[li].local_filters.push_back(std::move(local));
-      continue;
-    }
-    auto [ri, ra] = Resolve(*atom.rhs_var);
-    if (li == ri) {
-      inputs_[li].local_filters.push_back(atom);
-      continue;
-    }
-    if (atom.op == CompareOp::kEq) {
-      join_preds_.push_back({li, la, ri, ra, atom.offset});
-    } else {
-      step_filters_.push_back({atom, 0});  // step assigned after ordering
-    }
-  }
-}
-
-void SpjExecutor::ChooseOrder() {
+void SpjPlan::Executor::ChooseOrder() {
   size_t n = inputs_.size();
   bound_.assign(n, false);
   order_.clear();
   order_.reserve(n);
 
   auto connected = [&](size_t candidate) {
-    for (const auto& p : join_preds_) {
+    for (const auto& p : plan_.join_preds_) {
       if ((p.input_a == candidate && bound_[p.input_b]) ||
           (p.input_b == candidate && bound_[p.input_a])) {
         return true;
@@ -242,9 +227,7 @@ void SpjExecutor::ChooseOrder() {
   // only needs to compute the contribution of the new tuples to the join").
   size_t first = 0;
   for (size_t i = 1; i < n; ++i) {
-    if (inputs_[i].input->SizeHint() < inputs_[first].input->SizeHint()) {
-      first = i;
-    }
+    if (inputs_[i]->SizeHint() < inputs_[first]->SizeHint()) first = i;
   }
   order_.push_back(first);
   bound_[first] = true;
@@ -256,8 +239,8 @@ void SpjExecutor::ChooseOrder() {
       if (bound_[i]) continue;
       bool conn = connected(i);
       if (!best.has_value() || (conn && !best_connected) ||
-          (conn == best_connected && inputs_[i].input->SizeHint() <
-                                         inputs_[*best].input->SizeHint())) {
+          (conn == best_connected &&
+           inputs_[i]->SizeHint() < inputs_[*best]->SizeHint())) {
         best = i;
         best_connected = conn;
       }
@@ -269,76 +252,69 @@ void SpjExecutor::ChooseOrder() {
   // Assign each step filter to the step where it becomes ground.
   std::vector<size_t> step_of(n, 0);
   for (size_t s = 0; s < order_.size(); ++s) step_of[order_[s]] = s;
-  for (auto& f : step_filters_) {
-    auto [li, la] = Resolve(f.atom.lhs);
-    auto [ri, ra] = Resolve(*f.atom.rhs_var);
-    (void)la;
-    (void)ra;
-    f.last_input = order_[std::max(step_of[li], step_of[ri])];
+  step_filter_input_.clear();
+  step_filter_input_.reserve(plan_.step_filters_.size());
+  for (const auto& f : plan_.step_filters_) {
+    step_filter_input_.push_back(
+        order_[std::max(step_of[f.input_a], step_of[f.input_b])]);
   }
 }
 
-bool SpjExecutor::PassesLocalFilters(const InputInfo& info,
-                                     const Tuple& t) const {
-  for (const auto& atom : info.local_filters) {
-    if (!atom.Evaluate(info.input->schema(), t)) return false;
+bool SpjPlan::Executor::PassesLocalFilters(const Input& info,
+                                           const Tuple& t) const {
+  for (const BoundAtom& atom : info.filters) {
+    if (!EvalBoundAtom(t, atom)) return false;
   }
   return true;
 }
 
-PlannerCache::Table* SpjExecutor::MaterializeTable(
+PlannerCache::Table* SpjPlan::Executor::MaterializeTable(
     size_t input_id, const std::vector<size_t>& key_attrs) {
-  const InputInfo& info = inputs_[input_id];
+  const RelationInput* input = inputs_[input_id];
+  const Input& info = plan_.inputs_[input_id];
   // Cross-round path: a clean input bound to a `JoinStateCache` keeps its
   // table alive across maintenance rounds (keyed by its stable slot, not
   // this per-round input object) and only pays the full scan on a cold
   // miss; the cache replays later deltas into the installed table.
-  if (JoinStateCache* jsc = info.input->join_cache()) {
-    const uint32_t slot = info.input->cache_slot();
+  if (JoinStateCache* jsc = input->join_cache()) {
+    const uint32_t slot = input->cache_slot();
     if (PlannerCache::Table* warm = jsc->Lookup(slot, key_attrs)) return warm;
-    if (PlannerCache::Table* table = jsc->Install(
-            slot, key_attrs, info.input->schema(), info.local_filters)) {
-      FillTable(info, key_attrs, table);
+    if (PlannerCache::Table* table =
+            jsc->Install(slot, key_attrs, info.schema, info.filters)) {
+      FillTable(input_id, key_attrs, table);
       jsc->CompleteInstall(slot, key_attrs);
       return table;
     }
     // No active round; fall through to the per-round cache.
   }
   PlannerCache* cache = cache_ != nullptr ? cache_ : &local_cache_;
-  if (PlannerCache::Table* hit = cache->Find(info.input, key_attrs)) {
-    return hit;
-  }
-  PlannerCache::Table* table = cache->Create(info.input, key_attrs);
-  FillTable(info, key_attrs, table);
+  if (PlannerCache::Table* hit = cache->Find(input, key_attrs)) return hit;
+  PlannerCache::Table* table = cache->Create(input, key_attrs);
+  FillTable(input_id, key_attrs, table);
   return table;
 }
 
-void SpjExecutor::FillTable(const InputInfo& info,
-                            const std::vector<size_t>& key_attrs,
-                            PlannerCache::Table* table) {
-  // Without local filters the input size is the exact row count; with
-  // filters a full-size reserve could vastly overshoot the survivors.
-  const Schema& schema = info.input->schema();
+void SpjPlan::Executor::FillTable(size_t input_id,
+                                  const std::vector<size_t>& key_attrs,
+                                  PlannerCache::Table* table) {
+  const RelationInput* input = inputs_[input_id];
+  const Input& info = plan_.inputs_[input_id];
   table->int_keyed =
       key_attrs.size() == 1 &&
-      schema.attribute(key_attrs[0]).type == ValueType::kInt64;
-  table->all_int = true;
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (schema.attribute(i).type != ValueType::kInt64) {
-      table->all_int = false;
-      break;
-    }
-  }
-  if (info.local_filters.empty()) {
-    const size_t hint = info.input->SizeHint();
+      info.schema.attribute(key_attrs[0]).type == ValueType::kInt64;
+  table->all_int = info.all_int;
+  // Without local filters the input size is the exact row count; with
+  // filters a full-size reserve could vastly overshoot the survivors.
+  if (info.filters.empty()) {
+    const size_t hint = input->SizeHint();
     table->rows.reserve(hint);
     if (!key_attrs.empty()) table->index.reserve(hint);
     if (table->int_keyed) table->int_index.reserve(hint);
-    if (table->all_int) table->int_rows.reserve(hint * schema.size());
+    if (table->all_int) table->int_rows.reserve(hint * info.arity);
   }
   class BuildSink final : public DeltaSink {
    public:
-    BuildSink(SpjExecutor* e, const InputInfo& info,
+    BuildSink(Executor* e, const Input& info,
               const std::vector<size_t>& key_attrs, PlannerCache::Table* table)
         : e_(e), info_(info), key_attrs_(key_attrs), table_(table) {}
     void Emit(const Tuple& t, int64_t count) override {
@@ -361,36 +337,32 @@ void SpjExecutor::FillTable(const InputInfo& info,
     }
 
    private:
-    SpjExecutor* e_;
-    const InputInfo& info_;
+    Executor* e_;
+    const Input& info_;
     const std::vector<size_t>& key_attrs_;
     PlannerCache::Table* table_;
   };
   BuildSink sink(this, info, key_attrs, table);
-  info.input->Scan(sink);
+  input->Scan(sink);
 }
 
-std::vector<Link> SpjExecutor::CollectLinks(size_t input_id) const {
+std::vector<Link> SpjPlan::Executor::CollectLinks(size_t input_id) const {
   std::vector<Link> links;
-  for (const auto& p : join_preds_) {
+  for (const auto& p : plan_.join_preds_) {
     if (p.input_a == input_id && bound_[p.input_b]) {
       // this.attr_a = bound.attr_b + offset → key = bound + offset
       links.push_back(
-          {inputs_[p.input_b].offset + p.attr_b, p.attr_a, p.offset});
+          {plan_.inputs_[p.input_b].offset + p.attr_b, p.attr_a, p.offset});
     } else if (p.input_b == input_id && bound_[p.input_a]) {
       // bound.attr_a = this.attr_b + offset → key = bound − offset
       links.push_back(
-          {inputs_[p.input_a].offset + p.attr_a, p.attr_b, -p.offset});
+          {plan_.inputs_[p.input_a].offset + p.attr_a, p.attr_b, -p.offset});
     }
   }
   return links;
 }
 
-void SpjExecutor::Run() {
-  Analyze();
-  if (query_.condition != nullptr && query_.condition->IsTriviallyFalse()) {
-    return;  // σ_false(...) is empty
-  }
+void SpjPlan::Executor::Run() {
   ChooseOrder();
 
   // Re-run the binding order, marking inputs bound step by step so that
@@ -415,16 +387,16 @@ void SpjExecutor::Run() {
 // probe, index probe, or cross join); selections run as kernels producing
 // selection vectors, and the final projection is a column shuffle.
 
-ColumnBatch& SpjExecutor::DestBatch(std::vector<ColumnBatch>* list) {
+ColumnBatch& SpjPlan::Executor::DestBatch(std::vector<ColumnBatch>* list) {
   if (list->empty() || list->back().full()) {
     PollCancel();  // one relaxed check per allocated batch, never per row
-    list->emplace_back(combined_, ColumnBatch::kDefaultCapacity, arena_);
+    list->emplace_back(plan_.combined_, ColumnBatch::kDefaultCapacity, arena_);
     ++batch_stats_.batches;
   }
   return list->back();
 }
 
-void SpjExecutor::FilterBatch(ColumnBatch* batch,
+void SpjPlan::Executor::FilterBatch(ColumnBatch* batch,
                               const std::vector<BoundAtom>& filters) {
   if (filters.empty() || batch->empty()) return;
   uint32_t* sel = arena_->AllocateArray<uint32_t>(batch->size());
@@ -433,23 +405,19 @@ void SpjExecutor::FilterBatch(ColumnBatch* batch,
   batch->Keep(sel, n);
 }
 
-size_t SpjExecutor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
+size_t SpjPlan::Executor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
   PollCancel();
   const size_t input_id = order_[0];
-  const InputInfo& info = inputs_[input_id];
+  const Input& info = plan_.inputs_[input_id];
   // Local filters bound to this input's columns inside the combined batch.
-  std::vector<BoundAtom> filters;
-  filters.reserve(info.local_filters.size());
-  for (const Atom& atom : info.local_filters) {
-    filters.push_back(BindAtom(atom, info.input->schema(), info.offset));
-  }
+  const std::vector<BoundAtom>& filters = info.batch_filters;
 
   // Appends every scanned row, running the selection kernel over each chunk
   // as it fills (and once more over the final partial chunk).
   class ScanSink final : public DeltaSink {
    public:
-    ScanSink(SpjExecutor* e, std::vector<ColumnBatch>* out,
-             const InputInfo& info, const std::vector<BoundAtom>& filters)
+    ScanSink(Executor* e, std::vector<ColumnBatch>* out,
+             const Input& info, const std::vector<BoundAtom>& filters)
         : e_(e), out_(out), info_(info), filters_(filters) {}
     void Emit(const Tuple& t, int64_t count) override {
       ++e_->local_stats_.rows_scanned;
@@ -459,13 +427,13 @@ size_t SpjExecutor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
     }
 
    private:
-    SpjExecutor* e_;
+    Executor* e_;
     std::vector<ColumnBatch>* out_;
-    const InputInfo& info_;
+    const Input& info_;
     const std::vector<BoundAtom>& filters_;
   };
   ScanSink sink(this, out, info, filters);
-  info.input->Scan(sink);
+  inputs_[input_id]->Scan(sink);
   if (!out->empty()) FilterBatch(&out->back(), filters);
 
   size_t total = 0;
@@ -475,22 +443,28 @@ size_t SpjExecutor::BatchExecuteFirst(std::vector<ColumnBatch>* out) {
   return total;
 }
 
-size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
+size_t SpjPlan::Executor::BatchExecuteStep(size_t input_id, size_t total,
                                      std::vector<ColumnBatch>* batches) {
   PollCancel();
-  const InputInfo& info = inputs_[input_id];
+  const RelationInput* input = inputs_[input_id];
+  const Input& info = plan_.inputs_[input_id];
   std::vector<Link> links = CollectLinks(input_id);
-  // Step filters that become ground at this step, bound to the combined
-  // scheme.
+  // Step filters that become ground at this step (bound to the combined
+  // scheme at compile time).
   std::vector<BoundAtom> filters;
-  for (const auto& f : step_filters_) {
-    if (f.last_input == input_id) filters.push_back(BindAtom(f.atom, combined_));
+  for (size_t f = 0; f < plan_.step_filters_.size(); ++f) {
+    if (step_filter_input_[f] == input_id) {
+      filters.push_back(plan_.step_filters_[f].atom);
+    }
   }
   // Column ranges of the inputs already bound — the only columns of a
   // source row that hold live data and must be carried into merged rows.
   std::vector<std::pair<size_t, size_t>> bound_ranges;
   for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (bound_[i]) bound_ranges.emplace_back(inputs_[i].offset, inputs_[i].arity);
+    if (bound_[i]) {
+      bound_ranges.emplace_back(plan_.inputs_[i].offset,
+                                plan_.inputs_[i].arity);
+    }
   }
 
   std::vector<ColumnBatch> next;
@@ -561,18 +535,18 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
 
   std::optional<size_t> probe_link;
   for (size_t li = 0; li < links.size(); ++li) {
-    if (info.input->CanProbe(links[li].local_attr)) {
+    if (input->CanProbe(links[li].local_attr)) {
       probe_link = li;
       break;
     }
   }
   bool warm = false;
-  if (JoinStateCache* jsc = info.input->join_cache();
+  if (JoinStateCache* jsc = input->join_cache();
       jsc != nullptr && !links.empty()) {
-    warm = jsc->Peek(info.input->cache_slot(), key_attrs);
+    warm = jsc->Peek(input->cache_slot(), key_attrs);
   }
   bool use_index =
-      !warm && probe_link.has_value() && info.input->SizeHint() > total;
+      !warm && probe_link.has_value() && input->SizeHint() > total;
 
   if (!links.empty() && !use_index) {
     PlannerCache::Table* table = MaterializeTable(input_id, key_attrs);
@@ -627,7 +601,7 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
     // probe.
     class ProbeSink final : public DeltaSink {
      public:
-      ProbeSink(SpjExecutor* e, const InputInfo& info,
+      ProbeSink(Executor* e, const Input& info,
                 decltype(check_links)& check, decltype(emit_merged)& emit,
                 size_t skip_link)
           : e_(e), info_(info), check_(check), emit_(emit),
@@ -641,8 +615,8 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
       size_t row_ = 0;
 
      private:
-      SpjExecutor* e_;
-      const InputInfo& info_;
+      Executor* e_;
+      const Input& info_;
       decltype(check_links)& check_;
       decltype(emit_merged)& emit_;
       size_t skip_link_;
@@ -653,7 +627,7 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
       for (size_t r = 0; r < src.size(); ++r) {
         ++local_stats_.probes;
         sink.row_ = r;
-        info.input->ProbeEqual(link.local_attr, key_value(src, r, link), sink);
+        input->ProbeEqual(link.local_attr, key_value(src, r, link), sink);
       }
     }
   } else {
@@ -677,30 +651,26 @@ size_t SpjExecutor::BatchExecuteStep(size_t input_id, size_t total,
   return next_total;
 }
 
-void SpjExecutor::EmitBatches(std::vector<ColumnBatch>* batches) {
-  BoundDnf residual;
-  if (need_residual_ && query_.condition != nullptr) {
-    residual = BindCondition(*query_.condition, combined_);
-  }
+void SpjPlan::Executor::EmitBatches(std::vector<ColumnBatch>* batches) {
   CountedRelationSink sink(out_, multiplier_);
   for (ColumnBatch& batch : *batches) {
     if (batch.empty()) continue;
-    if (need_residual_) {
+    if (plan_.need_residual_) {
       uint32_t* sel = arena_->AllocateArray<uint32_t>(batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         sel[i] = static_cast<uint32_t>(i);
       }
-      batch.Keep(sel, SelectDnf(batch, residual, sel, batch.size()));
+      batch.Keep(sel, SelectDnf(batch, plan_.residual_, sel, batch.size()));
       if (batch.empty()) continue;
     }
     local_stats_.output_tuples += static_cast<int64_t>(batch.size());
     // Projection is a column shuffle: the emitted view aliases the batch's
     // arrays — no row data moves until the sink materializes tuples.
-    sink.EmitBatch(batch.ProjectView(projection_indices_, arena_));
+    sink.EmitBatch(batch.ProjectView(plan_.projection_indices_, arena_));
   }
 }
 
-void SpjExecutor::RunBatch() {
+void SpjPlan::Executor::RunBatch() {
   std::vector<ColumnBatch> batches;
   size_t total = BatchExecuteFirst(&batches);
   bound_[order_[0]] = true;
@@ -711,24 +681,50 @@ void SpjExecutor::RunBatch() {
   EmitBatches(&batches);
 }
 
+void SpjPlan::Execute(const std::vector<const RelationInput*>& inputs,
+                      CountedRelation* out, int64_t multiplier,
+                      PlanStats* stats, PlannerCache* cache,
+                      const EvalContext* ctx) const {
+  MVIEW_CHECK(out != nullptr, "null output relation");
+  MVIEW_CHECK(inputs.size() == inputs_.size(), "plan compiled for ",
+              inputs_.size(), " inputs, executed over ", inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    // Positional plan: each input must stream exactly the compiled scheme.
+    // A shared scheme representation makes this a pointer compare.
+    MVIEW_CHECK(inputs[i]->schema() == inputs_[i].schema, "input ", i,
+                " scheme ", inputs[i]->schema().ToString(),
+                " differs from the compiled ", inputs_[i].schema.ToString());
+  }
+  if (always_false_) return;  // σ_false(...) is empty
+  Executor executor(*this, inputs, out, multiplier, stats, cache, ctx);
+  executor.Run();
+}
+
+namespace {
+
+SpjPlan CompileQuery(const SpjQuery& query) {
+  std::vector<Schema> schemas;
+  schemas.reserve(query.inputs.size());
+  for (const RelationInput* input : query.inputs) {
+    schemas.push_back(input->schema());
+  }
+  return SpjPlan(std::move(schemas), query.condition, query.projection);
+}
+
 }  // namespace
 
 void EvaluateSpjInto(const SpjQuery& query, CountedRelation* out,
                      int64_t multiplier, PlanStats* stats, PlannerCache* cache,
                      const EvalContext* ctx) {
-  MVIEW_CHECK(out != nullptr, "null output relation");
-  SpjExecutor executor(query, out, multiplier, stats, cache, ctx);
-  executor.Run();
+  CompileQuery(query).Execute(query.inputs, out, multiplier, stats, cache,
+                              ctx);
 }
 
 CountedRelation EvaluateSpj(const SpjQuery& query, PlanStats* stats,
                             PlannerCache* cache) {
-  Schema combined = CombinedSchema(query);
-  Schema out_schema = query.projection.empty()
-                          ? combined
-                          : combined.Project(query.projection);
-  CountedRelation out(std::move(out_schema));
-  EvaluateSpjInto(query, &out, 1, stats, cache);
+  SpjPlan plan = CompileQuery(query);
+  CountedRelation out(plan.output_schema());
+  plan.Execute(query.inputs, &out, 1, stats, cache);
   return out;
 }
 

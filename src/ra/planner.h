@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "predicate/condition.h"
+#include "ra/eval.h"
 #include "ra/input.h"
 #include "relational/relation.h"
 
@@ -122,15 +123,97 @@ struct EvalContext {
   const util::Cancellation* cancel = nullptr;
 };
 
-/// Evaluates an SPJ query with counting semantics (Section 5.2: join
-/// multiplies multiplicities, projection sums them) and adds the result to
-/// `out` with counts scaled by `multiplier`.
+/// A compiled select–project–join plan: everything about
+/// `π_projection(σ_condition(I_0 × … × I_{n−1}))` that depends only on the
+/// input *schemes*, resolved once — input offsets and arities, single-input
+/// filters and cross-input non-equality atoms as `BoundAtom`s, equality
+/// join predicates, the residual DNF, projection indices, and the combined
+/// and output schemes.  Executing the plan only picks a join order from the
+/// inputs' `SizeHint`s and runs the batch pipeline, so a caller evaluating
+/// the same query shape many times (every truth-table row of every commit
+/// of one view) pays for name resolution once.
 ///
-/// The plan pushes single-input atoms below the joins, extracts equality
-/// atoms common to every disjunct as hash/index join predicates, orders
-/// joins greedily by input size (preferring index probes), and applies the
-/// remaining condition as a residual filter.  `ctx` (may be null) supplies
-/// the arena, activity counters and cancellation token (see `EvalContext`).
+/// The plan is immutable after construction: several executions may run
+/// concurrently over distinct inputs (the partition workers of one view
+/// share their maintainer's plan).  Per-execution state — join order,
+/// bound set, step-filter placement — lives in the executor.
+class SpjPlan {
+ public:
+  /// Compiles the plan.  `condition` (null = `true`) and `projection`
+  /// (empty = every attribute) name attributes of the concatenated input
+  /// schemes; neither is referenced after construction.  Throws on clashing
+  /// attribute names, unknown variables, type mismatches and unknown
+  /// projected attributes.
+  SpjPlan(std::vector<Schema> input_schemas, const Condition* condition,
+          const std::vector<std::string>& projection);
+
+  /// Evaluates the plan over `inputs` (one per compiled scheme, position by
+  /// position, each with exactly that scheme) with counting semantics
+  /// (Section 5.2: join multiplies multiplicities, projection sums them)
+  /// and adds the result to `out` with counts scaled by `multiplier`.
+  ///
+  /// The executor pushes single-input atoms below the joins, joins on the
+  /// equality atoms common to every disjunct (hash or index join), orders
+  /// joins greedily by input size (preferring connected inputs), and
+  /// applies the rest of the condition as a residual filter.  `ctx` (may be
+  /// null) supplies the arena, activity counters and cancellation token
+  /// (see `EvalContext`); `cache` (may be null) shares materialized inputs
+  /// across executions over the same inputs.
+  void Execute(const std::vector<const RelationInput*>& inputs,
+               CountedRelation* out, int64_t multiplier = 1,
+               PlanStats* stats = nullptr, PlannerCache* cache = nullptr,
+               const EvalContext* ctx = nullptr) const;
+
+  /// The projected scheme of the plan's output tuples.
+  const Schema& output_schema() const { return output_; }
+
+ private:
+  class Executor;
+
+  struct Input {
+    Schema schema;
+    size_t offset = 0;  // position of this input's attributes in the
+                        // combined row
+    size_t arity = 0;
+    bool all_int = false;  // every attribute is kInt64
+    // Single-input core atoms, bound to the input's own columns (tuple
+    // tests: table builds, index probes, the join-state cache) ...
+    std::vector<BoundAtom> filters;
+    // ... and to its columns inside a combined-scheme batch.
+    std::vector<BoundAtom> batch_filters;
+  };
+
+  // An equality join predicate `a.attr_a = b.attr_b + offset` between two
+  // inputs, extracted from the condition's conjunctive core.
+  struct JoinPred {
+    size_t input_a = 0;
+    size_t attr_a = 0;  // local attribute index within input_a
+    size_t input_b = 0;
+    size_t attr_b = 0;
+    int64_t offset = 0;
+  };
+
+  // A cross-input non-equality core atom, bound to the combined scheme and
+  // enforced at the join step where both of its inputs are bound.
+  struct StepFilter {
+    BoundAtom atom;
+    size_t input_a = 0;
+    size_t input_b = 0;
+  };
+
+  std::vector<Input> inputs_;
+  Schema combined_;
+  Schema output_;
+  std::vector<size_t> projection_indices_;
+  std::vector<JoinPred> join_preds_;
+  std::vector<StepFilter> step_filters_;
+  bool always_false_ = false;  // σ_false: every execution is empty
+  bool need_residual_ = false;
+  BoundDnf residual_;
+};
+
+/// One-shot evaluation of `query`: compiles an `SpjPlan` from the inputs'
+/// schemes and executes it once (see `SpjPlan::Execute`).
 void EvaluateSpjInto(const SpjQuery& query, CountedRelation* out,
                      int64_t multiplier = 1, PlanStats* stats = nullptr,
                      PlannerCache* cache = nullptr,

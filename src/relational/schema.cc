@@ -6,15 +6,24 @@
 
 namespace mview {
 
-Schema::Schema(std::vector<Attribute> attributes)
-    : attributes_(std::move(attributes)) {
-  index_.reserve(attributes_.size());
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    MVIEW_CHECK(!attributes_[i].name.empty(), "empty attribute name");
-    auto [it, inserted] = index_.emplace(attributes_[i].name, i);
+Schema::Schema(std::vector<Attribute> attributes) {
+  if (attributes.empty()) return;
+  auto rep = std::make_shared<Rep>();
+  rep->attributes = std::move(attributes);
+  rep->index.reserve(rep->attributes.size());
+  for (size_t i = 0; i < rep->attributes.size(); ++i) {
+    const std::string& name = rep->attributes[i].name;
+    MVIEW_CHECK(!name.empty(), "empty attribute name");
+    auto [it, inserted] = rep->index.emplace(name, i);
     (void)it;
-    MVIEW_CHECK(inserted, "duplicate attribute name: ", attributes_[i].name);
+    MVIEW_CHECK(inserted, "duplicate attribute name: ", name);
   }
+  rep_ = std::move(rep);
+}
+
+const Schema::Rep& Schema::EmptyRep() {
+  static const Rep empty;
+  return empty;
 }
 
 Schema Schema::OfInts(const std::vector<std::string>& names) {
@@ -25,13 +34,15 @@ Schema Schema::OfInts(const std::vector<std::string>& names) {
 }
 
 const Attribute& Schema::attribute(size_t index) const {
-  MVIEW_CHECK(index < attributes_.size(), "attribute index out of range");
-  return attributes_[index];
+  const std::vector<Attribute>& attrs = attributes();
+  MVIEW_CHECK(index < attrs.size(), "attribute index out of range");
+  return attrs[index];
 }
 
 std::optional<size_t> Schema::IndexOf(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
+  const auto& index = rep().index;
+  auto it = index.find(name);
+  if (it == index.end()) return std::nullopt;
   return it->second;
 }
 
@@ -43,12 +54,14 @@ size_t Schema::MustIndexOf(const std::string& name) const {
 }
 
 bool Schema::Contains(const std::string& name) const {
-  return index_.count(name) > 0;
+  return rep().index.count(name) > 0;
 }
 
 Schema Schema::Concat(const Schema& other) const {
-  std::vector<Attribute> attrs = attributes_;
-  for (const auto& a : other.attributes_) {
+  if (other.empty()) return *this;
+  if (empty()) return other;
+  std::vector<Attribute> attrs = attributes();
+  for (const auto& a : other.attributes()) {
     MVIEW_CHECK(!Contains(a.name),
                 "schemes share attribute when concatenating: ", a.name);
     attrs.push_back(a);
@@ -66,24 +79,25 @@ Schema Schema::Project(const std::vector<std::string>& names,
   }
   for (const auto& n : names) {
     size_t idx = MustIndexOf(n);
-    attrs.push_back(attributes_[idx]);
+    attrs.push_back(attributes()[idx]);
     if (indices != nullptr) indices->push_back(idx);
   }
   return Schema(std::move(attrs));
 }
 
 Schema Schema::WithPrefix(const std::string& prefix) const {
-  std::vector<Attribute> attrs = attributes_;
+  std::vector<Attribute> attrs = attributes();
   for (auto& a : attrs) a.name = prefix + a.name;
   return Schema(std::move(attrs));
 }
 
 std::string Schema::ToString() const {
+  const std::vector<Attribute>& attrs = attributes();
   std::ostringstream os;
   os << "(";
-  for (size_t i = 0; i < attributes_.size(); ++i) {
+  for (size_t i = 0; i < attrs.size(); ++i) {
     if (i > 0) os << ", ";
-    os << attributes_[i].name << ":" << ValueTypeName(attributes_[i].type);
+    os << attrs[i].name << ":" << ValueTypeName(attrs[i].type);
   }
   os << ")";
   return os.str();

@@ -2,6 +2,7 @@
 #define MVIEW_RELATIONAL_SCHEMA_H_
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -29,6 +30,13 @@ struct Attribute {
 /// paper's Definition 4.3 likewise assumes `R_i ∩ R_j = ∅`).  Natural-join
 /// views are expressed by renaming shared attributes and adding equality
 /// atoms; see `ViewDefinition::NaturalJoin`.
+///
+/// A `Schema` is an immutable handle to one shared representation (the
+/// attribute list plus its name index): copying a scheme — which every
+/// relation, delta, input and plan does — bumps a reference count instead
+/// of rebuilding the vector and the hash map, and comparing two handles of
+/// one representation short-circuits.  Handles are safe to copy and read
+/// from several threads.
 class Schema {
  public:
   /// Creates an empty scheme.
@@ -41,14 +49,14 @@ class Schema {
   static Schema OfInts(const std::vector<std::string>& names);
 
   /// Returns the number of attributes.
-  size_t size() const { return attributes_.size(); }
-  bool empty() const { return attributes_.empty(); }
+  size_t size() const { return attributes().size(); }
+  bool empty() const { return attributes().empty(); }
 
   /// Returns the attribute at `index`.
   const Attribute& attribute(size_t index) const;
 
   /// Returns all attributes in order.
-  const std::vector<Attribute>& attributes() const { return attributes_; }
+  const std::vector<Attribute>& attributes() const { return rep().attributes; }
 
   /// Returns the index of `name`, or nullopt when absent.
   std::optional<size_t> IndexOf(const std::string& name) const;
@@ -72,7 +80,7 @@ class Schema {
   Schema WithPrefix(const std::string& prefix) const;
 
   bool operator==(const Schema& other) const {
-    return attributes_ == other.attributes_;
+    return rep_ == other.rep_ || attributes() == other.attributes();
   }
   bool operator!=(const Schema& other) const { return !(*this == other); }
 
@@ -80,8 +88,16 @@ class Schema {
   std::string ToString() const;
 
  private:
-  std::vector<Attribute> attributes_;
-  std::unordered_map<std::string, size_t> index_;
+  struct Rep {
+    std::vector<Attribute> attributes;
+    std::unordered_map<std::string, size_t> index;
+  };
+
+  // The empty scheme's representation, shared by every default handle.
+  static const Rep& EmptyRep();
+  const Rep& rep() const { return rep_ != nullptr ? *rep_ : EmptyRep(); }
+
+  std::shared_ptr<const Rep> rep_;  // null = the empty scheme
 };
 
 }  // namespace mview

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "predicate/parser.h"
 #include "ra/eval.h"
 #include "test_util.h"
@@ -241,6 +243,83 @@ TEST(PlannerPropertyTest, AgreesWithNaiveEvaluator) {
         << fast.ToString() << "slow:\n"
         << slow.ToString();
   }
+}
+
+
+// A plan compiled once (against schemes built independently of the
+// relations, from a condition that is gone before it runs) and executed over
+// fresh input objects each round gives the one-shot `EvaluateSpjInto` result
+// and work counters — the contract the differential maintainer relies on
+// when it reuses one plan for every row of every commit.
+TEST(SpjPlanTest, CompiledPlanOverFreshInputsEqualsOneShot) {
+  const char* conditions[] = {
+      "r_a1 = s_a0 && r_a0 < 5",
+      "r_a1 = s_a0 && r_a0 < s_a1 && s_a1 != 3",
+      "(r_a1 = s_a0 && s_a1 < 4) || (r_a1 = s_a0 && r_a0 > 5)",
+      "r_a0 <= s_a1 + 2",
+  };
+  Rng rng(4242);
+  for (const char* text : conditions) {
+    Database db;
+    WorkloadGenerator gen(rng.Next());
+    gen.Populate(&db, RelationSpec{"r", 2, 8, 20});
+    gen.Populate(&db, RelationSpec{"s", 2, 8, 20});
+    std::optional<SpjPlan> plan;
+    {
+      Condition compiled_from = ParseCondition(text);
+      plan.emplace(std::vector<Schema>{Schema::OfInts({"r_a0", "r_a1"}),
+                                       Schema::OfInts({"s_a0", "s_a1"})},
+                   &compiled_from, std::vector<std::string>{"s_a1", "r_a0"});
+    }
+    EXPECT_EQ(plan->output_schema(), Schema::OfInts({"s_a1", "r_a0"}));
+    const Condition cond = ParseCondition(text);
+    for (int round = 0; round < 4; ++round) {
+      for (int k = 0; k < 5; ++k) {
+        db.Get("r").Insert(T({rng.Uniform(0, 8), rng.Uniform(0, 8)}));
+        db.Get("s").Insert(T({rng.Uniform(0, 8), rng.Uniform(0, 8)}));
+      }
+      FullRelationInput ir(&db.Get("r"), db.Get("r").schema());
+      FullRelationInput is(&db.Get("s"), db.Get("s").schema());
+      CountedRelation compiled(plan->output_schema());
+      PlanStats compiled_stats;
+      plan->Execute({&ir, &is}, &compiled, 2, &compiled_stats);
+
+      SpjQuery q;
+      q.inputs = {&ir, &is};
+      q.condition = &cond;
+      q.projection = {"s_a1", "r_a0"};
+      CountedRelation one_shot(plan->output_schema());
+      PlanStats one_shot_stats;
+      EvaluateSpjInto(q, &one_shot, 2, &one_shot_stats);
+
+      EXPECT_TRUE(compiled.SameContents(one_shot))
+          << text << " round " << round << "\ncompiled:\n"
+          << compiled.ToString() << "one-shot:\n" << one_shot.ToString();
+      EXPECT_EQ(compiled_stats.rows_scanned, one_shot_stats.rows_scanned);
+      EXPECT_EQ(compiled_stats.probes, one_shot_stats.probes);
+      EXPECT_EQ(compiled_stats.output_tuples, one_shot_stats.output_tuples);
+    }
+  }
+}
+
+TEST(SpjPlanTest, RejectsInputsOfAnotherScheme) {
+  Database db;
+  Relation& r = MakeRelation(&db, "r", {"A", "B"}, {{1, 2}});
+  Relation& s = MakeRelation(&db, "s", {"C"}, {{1}});
+  const Condition cond = ParseCondition("A = 1");
+  SpjPlan plan({r.schema()}, &cond, {});
+  FullRelationInput ir(&r, r.schema());
+  FullRelationInput is(&s, s.schema());
+  CountedRelation out(plan.output_schema());
+  EXPECT_THROW(plan.Execute({&is}, &out), Error);
+  EXPECT_THROW(plan.Execute({&ir, &is}, &out), Error);
+  plan.Execute({&ir}, &out);
+  EXPECT_EQ(out.Count(T({1, 2})), 1);
+  // Compilation reports the errors the one-shot evaluation always did.
+  EXPECT_THROW(SpjPlan({r.schema(), r.schema()}, nullptr, {}), Error);
+  const Condition unknown = ParseCondition("Z = 1");
+  EXPECT_THROW(SpjPlan({r.schema()}, &unknown, {}), Error);
+  EXPECT_THROW(SpjPlan({r.schema()}, nullptr, {"Z"}), Error);
 }
 
 }  // namespace

@@ -81,5 +81,68 @@ TEST(SchemaTest, AttributeIndexOutOfRangeThrows) {
   EXPECT_THROW(s.attribute(1), Error);
 }
 
+
+TEST(SchemaTest, CopySharesRepresentation) {
+  Schema a({{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  Schema b = a;
+  Schema c;
+  c = b;
+  EXPECT_EQ(&a.attributes(), &b.attributes());
+  EXPECT_EQ(&a.attributes(), &c.attributes());
+  EXPECT_EQ(a, c);
+  EXPECT_EQ(c.IndexOf("name"), std::optional<size_t>(1));
+}
+
+TEST(SchemaTest, IndependentlyBuiltEqualSchemasCompareEqual) {
+  Schema a({{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  Schema b({{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+  EXPECT_NE(&a.attributes(), &b.attributes());
+  EXPECT_EQ(a, b);
+  Schema retyped({{"id", ValueType::kInt64}, {"name", ValueType::kInt64}});
+  EXPECT_NE(a, retyped);
+  EXPECT_EQ(Schema::OfInts({"A"}).Concat(Schema::OfInts({"B"})),
+            Schema::OfInts({"A", "B"}));
+}
+
+TEST(SchemaTest, DefaultSchemaIsEmpty) {
+  Schema s;
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_TRUE(s.attributes().empty());
+  EXPECT_EQ(s.IndexOf("A"), std::nullopt);
+  EXPECT_FALSE(s.Contains("A"));
+  EXPECT_EQ(s.ToString(), "()");
+  EXPECT_EQ(s, Schema(std::vector<Attribute>{}));
+  EXPECT_NE(s, Schema::OfInts({"A"}));
+  EXPECT_EQ(s.Concat(Schema::OfInts({"A"})), Schema::OfInts({"A"}));
+  EXPECT_EQ(Schema::OfInts({"A"}).Concat(s), Schema::OfInts({"A"}));
+}
+
+// The shared representation must not change which errors construction and
+// concatenation report.
+TEST(SchemaTest, ErrorMessagesAreUnchanged) {
+  auto message_of = [](auto&& make) -> std::string {
+    try {
+      make();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message_of([] { Schema({{"", ValueType::kInt64}}); })
+                .find("empty attribute name"),
+            std::string::npos);
+  EXPECT_NE(message_of([] { Schema::OfInts({"A", "B", "A"}); })
+                .find("duplicate attribute name: A"),
+            std::string::npos);
+  EXPECT_NE(message_of([] {
+              Schema::OfInts({"A", "B"}).Concat(Schema::OfInts({"C", "B"}));
+            }).find("schemes share attribute when concatenating: B"),
+            std::string::npos);
+  EXPECT_NE(message_of([] { Schema::OfInts({"A"}).MustIndexOf("Z"); })
+                .find("unknown attribute: Z in scheme (A:int64)"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace mview
