@@ -1,7 +1,6 @@
-// Experiment E21: hash-partitioned views — intra-view parallel maintenance
-// and dirty-partition incremental checkpoints.
+// Experiment E21: hash-partitioned views — intra-view parallel maintenance.
 //
-// Part 1 (maintenance): an E16-style 1M-row workload (r ⋈ s on
+// An E16-style 1M-row workload (r ⋈ s on
 // r_a1 = s_a0, ~1 match per key) driven through the ViewManager commit
 // pipeline.  The view's maintenance round is split into P hash partitions
 // (the planner picks the keyed layout here: the join equality
@@ -12,33 +11,21 @@
 // Note: parallel speedup requires actual cores.  On a single-core host
 // every configuration collapses to the serial cost plus coordination
 // overhead; the JSON records `cores` so readers can interpret the rows
-// (EXPERIMENTS.md E21 discusses this).  Partition *pruning* and the
-// checkpoint results below are core-count independent.
-//
-// Part 2 (checkpoints): a durable engine with 16 checkpoint partitions.
-// After a full image exists, a small commit confined to one hash
-// partition is checkpointed incrementally (only dirty segments rewritten)
-// and monolithically (classic full rewrite); the byte ratio is the
-// O(database) → O(dirty) claim, and is deterministic — no cores needed.
+// (EXPERIMENTS.md E21 discusses this).
 //
 // `--json <path>` writes the summary rows (BENCH_E21.json).
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "ivm/view_manager.h"
-#include "relational/partition.h"
-#include "sql/engine.h"
-#include "storage/storage.h"
 #include "workload/generator.h"
 
 namespace mview {
@@ -96,90 +83,6 @@ BENCHMARK(BM_PartitionedCommit)
     ->Args({1, 0})->Args({4, 0})->Args({4, 4})
     ->Iterations(2)->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// Part 2: checkpoint bytes, incremental vs monolithic.
-
-constexpr uint32_t kCheckpointPartitions = 16;
-size_t CheckpointRows() { return bench::Scaled(50'000, 500); }
-
-struct CheckpointResult {
-  double full_bytes = 0;   // first incremental image (all segments fresh)
-  double dirty_bytes = 0;  // re-checkpoint after a one-partition commit
-  double segments = 0;     // segments written by the dirty checkpoint
-  double skipped = 0;      // clean partitions carried forward
-};
-
-// Multi-row INSERT statements in `chunk`-row batches (one commit each).
-void BulkInsert(sql::Engine& engine, size_t rows, size_t chunk) {
-  for (size_t base = 0; base < rows; base += chunk) {
-    std::string sql = "INSERT INTO t VALUES ";
-    for (size_t i = base; i < std::min(rows, base + chunk); ++i) {
-      if (i != base) sql += ", ";
-      sql += "(" + std::to_string(i) + ", " + std::to_string(2 * i) + ")";
-    }
-    engine.Execute(sql);
-  }
-}
-
-// Fresh tuples (a >= `from`) that all land in checkpoint partition 0 under
-// the storage layer's whole-tuple hash — the commit they form dirties
-// exactly one of the 16 partitions per scope.
-std::string ConfinedInsert(size_t from, size_t count) {
-  std::string sql = "INSERT INTO t VALUES ";
-  size_t found = 0;
-  for (size_t i = from; found < count; ++i) {
-    Tuple t({Value(static_cast<int64_t>(i)),
-             Value(static_cast<int64_t>(2 * i))});
-    if (PartitionOf(t, kRowHashKey, kCheckpointPartitions) != 0) continue;
-    if (found != 0) sql += ", ";
-    sql += "(" + std::to_string(i) + ", " + std::to_string(2 * i) + ")";
-    ++found;
-  }
-  return sql;
-}
-
-// Returns the bytes written by the two explicit checkpoints; with
-// `incremental` off the same flow measures the monolithic rewrite.
-CheckpointResult RunCheckpointExperiment(bool incremental) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("mview_bench_e21_") +
-                    (incremental ? "inc" : "mono"));
-  std::filesystem::remove_all(dir);
-  CheckpointResult result;
-  {
-    Storage::Options options;
-    options.incremental_checkpoints = incremental;
-    options.checkpoint_partitions = kCheckpointPartitions;
-    auto storage = Storage::Open(dir.string(), options);
-    sql::Engine engine(storage.get());
-    engine.Execute("CREATE TABLE t (a INT64, b INT64)");
-    BulkInsert(engine, CheckpointRows(), 500);
-    // DDL forces a monolithic image, so the explicit checkpoint below
-    // starts from a clean dirty-map with no manifest to carry forward:
-    // its cost is the full image (every segment fresh).
-    engine.Execute(
-        "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t WHERE a >= 0");
-    StorageMetrics& m = engine.mutable_views().metrics().storage();
-    const int64_t before_full = m.checkpoint_bytes;
-    engine.Execute("CHECKPOINT");
-    result.full_bytes = static_cast<double>(m.checkpoint_bytes - before_full);
-
-    // One commit confined to partition 0 of both scopes (the view
-    // materializes the same tuples, so its rows hash identically).
-    engine.Execute(ConfinedInsert(CheckpointRows(), 64));
-    const int64_t before_dirty = m.checkpoint_bytes;
-    const int64_t seg0 = m.segments_written;
-    const int64_t skip0 = m.partitions_skipped;
-    engine.Execute("CHECKPOINT");
-    result.dirty_bytes =
-        static_cast<double>(m.checkpoint_bytes - before_dirty);
-    result.segments = static_cast<double>(m.segments_written - seg0);
-    result.skipped = static_cast<double>(m.partitions_skipped - skip0);
-  }
-  std::filesystem::remove_all(dir);
-  return result;
-}
-
 void PrintSummary() {
   using bench::FormatSeconds;
   using bench::FormatSpeedup;
@@ -220,34 +123,6 @@ void PrintSummary() {
               {"cores", cores}});
   }
   maintenance.Print();
-
-  bench::SummaryTable checkpoints(
-      "E21b: checkpoint bytes — " + std::to_string(CheckpointRows()) +
-          " rows, " + std::to_string(kCheckpointPartitions) +
-          " partitions, then a 64-row commit confined to one partition",
-      {"checkpoint", "bytes", "vs monolithic"});
-  CheckpointResult inc = RunCheckpointExperiment(/*incremental=*/true);
-  CheckpointResult mono = RunCheckpointExperiment(/*incremental=*/false);
-  checkpoints.AddRow({"monolithic rewrite",
-                      std::to_string(static_cast<int64_t>(mono.dirty_bytes)),
-                      "1.00x"});
-  checkpoints.AddRow(
-      {"incremental, all partitions dirty",
-       std::to_string(static_cast<int64_t>(inc.full_bytes)),
-       FormatSpeedup(mono.dirty_bytes / inc.full_bytes)});
-  checkpoints.AddRow(
-      {"incremental, 1/" + std::to_string(kCheckpointPartitions) + " dirty",
-       std::to_string(static_cast<int64_t>(inc.dirty_bytes)),
-       FormatSpeedup(mono.dirty_bytes / inc.dirty_bytes)});
-  checkpoints.Print();
-  std::printf("dirty checkpoint: %.0f segments written, %.0f carried\n\n",
-              inc.segments, inc.skipped);
-  json.Add({{"ckpt_mono_bytes", mono.dirty_bytes},
-            {"ckpt_incremental_full_bytes", inc.full_bytes},
-            {"ckpt_incremental_dirty_bytes", inc.dirty_bytes},
-            {"ckpt_reduction_x", mono.dirty_bytes / inc.dirty_bytes},
-            {"segments_written", inc.segments},
-            {"partitions_skipped", inc.skipped}});
 
   if (!json.WriteIfRequested()) std::exit(1);
 }

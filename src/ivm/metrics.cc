@@ -164,8 +164,6 @@ std::string StorageMetrics::ToJson() const {
      << ", \"checkpoints\": " << checkpoints
      << ", \"checkpoint_nanos\": " << checkpoint_nanos
      << ", \"checkpoint_bytes\": " << checkpoint_bytes
-     << ", \"segments_written\": " << segments_written
-     << ", \"partitions_skipped\": " << partitions_skipped
      << ", \"replayed_records\": " << replayed_records
      << ", \"batch_commits_histogram\": " << batch_commits.ToJson()
      << ", \"fsync_latency\": " << fsync_latency.ToJson() << "}";

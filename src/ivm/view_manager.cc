@@ -162,7 +162,6 @@ void ViewManager::RegisterView(ViewDefinition def, MaintenanceMode mode,
       std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
   view->materialized =
       std::make_shared<CountedRelation>(view->maintainer->FullEvaluate());
-  dirty_.MarkAll("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
   if (mode == MaintenanceMode::kDeferred) {
@@ -201,9 +200,6 @@ void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
       std::make_unique<DifferentialMaintainer>(std::move(def), db_, options);
   view->materialized =
       std::make_shared<CountedRelation>(std::move(materialized));
-  // Conservative: the restored image may postdate the last checkpoint
-  // (WAL-replayed creation), so its partitions must all be rewritten.
-  dirty_.MarkAll("v:" + name);
   view->metrics = &metrics_.ForView(name);
   view->span_name_id = obs::Tracer::Global().InternName("maintain:" + name);
   if (mode == MaintenanceMode::kDeferred) {
@@ -226,7 +222,6 @@ void ViewManager::RestoreView(ViewDefinition def, MaintenanceMode mode,
 void ViewManager::DropView(const std::string& name) {
   MVIEW_CHECK(views_.erase(name) > 0, "unknown view: ", name);
   metrics_.Remove(name);
-  dirty_.Forget("v:" + name);
   PublishEpoch();
 }
 
@@ -384,27 +379,6 @@ void ViewManager::MergePartitionedJob(CommitJob* job) {
   m.stats.maintenance_nanos += timer.ElapsedNanos();
 }
 
-void ViewManager::MarkEffectDirty(const TransactionEffect& effect) {
-  if (!dirty_.enabled()) return;
-  for (const std::string& name : effect.TouchedRelations()) {
-    const RelationEffect* re = effect.Find(name);
-    if (re == nullptr) continue;
-    const std::string scope = "t:" + name;
-    re->inserts.Scan([&](const Tuple& t) { dirty_.Mark(scope, t); });
-    re->deletes.Scan([&](const Tuple& t) { dirty_.Mark(scope, t); });
-  }
-}
-
-void ViewManager::MarkDeltaDirty(const std::string& view_name,
-                                 const ViewDelta& delta) {
-  if (!dirty_.enabled()) return;
-  const std::string scope = "v:" + view_name;
-  delta.inserts.Scan(
-      [&](const Tuple& t, int64_t) { dirty_.Mark(scope, t); });
-  delta.deletes.Scan(
-      [&](const Tuple& t, int64_t) { dirty_.Mark(scope, t); });
-}
-
 struct ViewManager::PreparedCommit::Impl {
   std::vector<CommitJob> jobs;
   int64_t prepare_nanos = 0;  // folded into the commit-latency record
@@ -559,7 +533,6 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
     obs::TraceSpan span(kBaseApplyName);
     Stopwatch timer;
     effect.ApplyTo(db_);
-    MarkEffectDirty(effect);
     metrics_.commit().base_apply_nanos += timer.ElapsedNanos();
   }
 
@@ -587,7 +560,6 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
           // epoch's buffer is never touched.
           std::shared_ptr<CountedRelation> next = WritableBuffer(view);
           job.delta->ApplyTo(next.get());
-          MarkDeltaDirty(view->name, *job.delta);
           m.delta_sizes.Record(job.delta->TotalCount());
           view->spare = std::move(view->materialized);
           view->materialized = std::move(next);
@@ -601,7 +573,6 @@ void ViewManager::CommitPrepared(PreparedCommit prepared,
           Stopwatch timer;
           view->materialized = std::make_shared<CountedRelation>(
               view->maintainer->FullEvaluate(&m.stats.plan));
-          dirty_.MarkAll("v:" + view->name);
           view->spare.reset();
           view->lag_delta.reset();
           ++m.stats.full_reevaluations;
@@ -667,7 +638,6 @@ void ViewManager::Repair(const std::string& name) {
                 ": two full evaluations disagree");
   }
   view.materialized = std::make_shared<CountedRelation>(std::move(result));
-  dirty_.MarkAll("v:" + name);
   view.spare.reset();
   view.lag_delta.reset();
   view.maintainer->ResetJoinCache();
@@ -798,7 +768,6 @@ void ViewManager::RefreshView(const std::string& name, ManagedView* view) {
     Stopwatch apply_timer;
     std::shared_ptr<CountedRelation> next = WritableBuffer(view);
     delta.ApplyTo(next.get());
-    MarkDeltaDirty(name, delta);
     m.delta_sizes.Record(delta.TotalCount());
     view->spare = std::move(view->materialized);
     view->materialized = std::move(next);
@@ -864,7 +833,6 @@ CountedRelation& ViewManager::MutableMaterialization(const std::string& name) {
   // bytes and silently undo what the test injected.
   view.spare.reset();
   view.lag_delta.reset();
-  dirty_.MarkAll("v:" + name);
   return *view.materialized;
 }
 

@@ -14,7 +14,6 @@
 #include "db/transaction.h"
 #include "ivm/differential.h"
 #include "ivm/metrics.h"
-#include "ivm/partition.h"
 #include "ivm/snapshot.h"
 #include "ivm/view_def.h"
 #include "util/thread_pool.h"
@@ -368,16 +367,6 @@ class ViewManager {
   Database& database() { return *db_; }
   const Database& database() const { return *db_; }
 
-  /// Dirty-partition tracking for incremental checkpoints.  Disabled until
-  /// the storage layer calls `Enable` (after installing the checkpoint
-  /// image, before WAL replay); once enabled, every mutation path marks
-  /// the partitions it touches — per-tuple for commit applies and
-  /// refreshes, whole-scope for register/restore/repair/test mutation —
-  /// and `Storage::Checkpoint` clears the map after a successful write.
-  /// Scopes are "t:<table>" and "v:<view>".
-  PartitionDirtyMap& dirty_partitions() { return dirty_; }
-  const PartitionDirtyMap& dirty_partitions() const { return dirty_; }
-
  private:
   struct ManagedView {
     std::string name;
@@ -448,9 +437,6 @@ class ViewManager {
   /// Serial epilogue: folds per-partition deltas/stats/errors into the
   /// job's `delta` and the view's metrics.
   void MergePartitionedJob(CommitJob* job);
-  /// Marks the dirty map for every tuple the effect/delta touches.
-  void MarkEffectDirty(const TransactionEffect& effect);
-  void MarkDeltaDirty(const std::string& view_name, const ViewDelta& delta);
   void LogDeferred(ManagedView* view, const TransactionEffect& effect);
   void RefreshView(const std::string& name, ManagedView* view);
   /// Quarantines `view` for the failure captured in `error` (transient
@@ -499,7 +485,6 @@ class ViewManager {
 
   Database* db_;
   std::map<std::string, std::unique_ptr<ManagedView>> views_;
-  PartitionDirtyMap dirty_;
   MetricsRegistry metrics_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::function<void(const ViewHealthEvent&)> health_listener_;

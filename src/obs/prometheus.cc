@@ -144,14 +144,8 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
          "Time spent writing checkpoints")
       .Sample("", Seconds(static_cast<double>(storage.checkpoint_nanos)));
   Family(os, "mview_checkpoint_bytes_total", "counter",
-         "Bytes written by checkpoints (monolithic and incremental)")
+         "Bytes of checkpoint files written")
       .Sample("", storage.checkpoint_bytes);
-  Family(os, "mview_checkpoint_segments_total", "counter",
-         "Fresh partition segments written by incremental checkpoints")
-      .Sample("", storage.segments_written);
-  Family(os, "mview_checkpoint_partitions_skipped_total", "counter",
-         "Clean partitions carried forward by incremental checkpoints")
-      .Sample("", storage.partitions_skipped);
   Family(os, "mview_wal_replayed_records_total", "counter",
          "WAL records replayed at recovery")
       .Sample("", storage.replayed_records);

@@ -7,10 +7,8 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
-#include <unordered_set>
 
 #include "relational/csv.h"
-#include "relational/partition.h"
 #include "storage/wal.h"
 #include "util/fault.h"
 
@@ -22,10 +20,6 @@ namespace {
 // checkpoint is rewritten wholesale on every CHECKPOINT/close, so no
 // deployment carries an old file across versions.
 constexpr char kMagic[8] = {'M', 'V', 'C', 'K', 'P', 'T', '0', '3'};
-// Incremental checkpoint manifest and row-segment files (see the header's
-// format note; the manifest rename is the commit point).
-constexpr char kManifestMagic[8] = {'M', 'V', 'M', 'A', 'N', 'I', 'F', '1'};
-constexpr char kSegmentMagic[8] = {'M', 'V', 'S', 'E', 'G', '0', '0', '1'};
 
 [[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
   throw IoError("checkpoint: " + what + " failed for " + path + ": " +
@@ -150,8 +144,7 @@ std::vector<Tuple> GetTuples(wire::Reader* r) {
   return tuples;
 }
 
-/// Captures everything about a view except its materialization's rows —
-/// the metadata shared by the monolithic body and the manifest.
+/// Captures everything about a view except its materialization's rows.
 CheckpointView BuildViewMeta(const ViewManager& views,
                              const std::string& name) {
   ViewInfo info = views.Describe(name);
@@ -300,10 +293,9 @@ CheckpointData DecodeBody(const std::string& body) {
   return data;
 }
 
-// --- framed file I/O -------------------------------------------------------
+// --- file I/O --------------------------------------------------------------
 //
-// Every checkpoint artifact (monolithic file, manifest, segment) shares
-// one frame: 8-byte magic, CRC32 of the body, body length, body.
+// File layout: 8-byte magic, CRC32 of the body, body length, body.
 
 void WriteAll(int fd, const std::string& data, const std::string& path) {
   size_t done = 0;
@@ -314,25 +306,12 @@ void WriteAll(int fd, const std::string& data, const std::string& path) {
   }
 }
 
-std::string Frame(const char magic[8], const std::string& body) {
-  std::string file(magic, 8);
+std::string Frame(const std::string& body) {
+  std::string file(kMagic, 8);
   wire::PutU32(&file, Crc32(body.data(), body.size()));
   wire::PutU64(&file, static_cast<uint64_t>(body.size()));
   file.append(body);
   return file;
-}
-
-void WriteFileDurable(const std::string& path, const std::string& contents) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) ThrowErrno("open", path);
-  try {
-    WriteAll(fd, contents, path);
-    if (::fsync(fd) != 0) ThrowErrno("fsync", path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
 }
 
 void SyncDirOf(const std::string& path) {
@@ -345,19 +324,27 @@ void SyncDirOf(const std::string& path) {
   }
 }
 
-/// Temp-write + rename + directory sync: a crash at any point leaves
-/// either the old file or the new one, never a torn one.
+/// Temp-write + fsync + rename + directory sync: a crash at any point
+/// leaves either the old file or the new one, never a torn one.
 void CommitFile(const std::string& path, const std::string& contents) {
   const std::string tmp = path + ".tmp";
-  WriteFileDurable(tmp, contents);
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) ThrowErrno("open", tmp);
+  try {
+    WriteAll(fd, contents, tmp);
+    if (::fsync(fd) != 0) ThrowErrno("fsync", tmp);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
   if (::rename(tmp.c_str(), path.c_str()) != 0) ThrowErrno("rename", path);
   SyncDirOf(path);
 }
 
-/// Reads and validates a framed file: nullopt when absent, the body when
-/// intact, `CorruptionError` otherwise.
-std::optional<std::string> ReadFramedFile(const std::string& path,
-                                          const char magic[8]) {
+/// Reads and validates a checkpoint file: nullopt when absent, the body
+/// when intact, `CorruptionError` otherwise.
+std::optional<std::string> ReadFramedFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -385,7 +372,7 @@ std::optional<std::string> ReadFramedFile(const std::string& path,
 
   constexpr size_t kPrefix = 8 + 4 + 8;
   if (contents.size() < kPrefix ||
-      std::memcmp(contents.data(), magic, 8) != 0) {
+      std::memcmp(contents.data(), kMagic, 8) != 0) {
     throw CorruptionError("checkpoint: bad header in " + path);
   }
   wire::Reader prefix(contents.data() + 8, 12);
@@ -401,169 +388,6 @@ std::optional<std::string> ReadFramedFile(const std::string& path,
   return std::string(body, body_len);
 }
 
-// --- incremental format helpers --------------------------------------------
-
-std::string SegmentName(uint64_t generation, uint32_t seq) {
-  return "seg_" + std::to_string(generation) + "_" + std::to_string(seq) +
-         ".mv";
-}
-
-std::string TableSliceCsv(const Relation& rel, uint32_t p, uint32_t total) {
-  Relation slice(rel.schema());
-  rel.Scan([&](const Tuple& t) {
-    if (PartitionOf(t, kRowHashKey, total) == p) slice.Insert(t);
-  });
-  return ToCsvBlob(slice);
-}
-
-std::string ViewSliceCsv(const CountedRelation& rel, uint32_t p,
-                         uint32_t total) {
-  CountedRelation slice(rel.schema());
-  rel.Scan([&](const Tuple& t, int64_t count) {
-    if (PartitionOf(t, kRowHashKey, total) == p) slice.Add(t, count);
-  });
-  return ToCsvBlob(slice);
-}
-
-void PutSegments(std::string* body, const SegmentList& sl) {
-  wire::PutString(body, sl.name);
-  for (const auto& file : sl.segments) wire::PutString(body, file);
-}
-
-SegmentList GetSegments(wire::Reader* r, uint32_t partitions) {
-  SegmentList sl;
-  sl.name = r->GetString();
-  sl.segments.reserve(partitions);
-  for (uint32_t p = 0; p < partitions; ++p) {
-    sl.segments.push_back(r->GetString());
-  }
-  return sl;
-}
-
-std::string EncodeManifest(const CheckpointManifest& m) {
-  std::string body;
-  wire::PutU64(&body, m.lsn);
-  wire::PutU64(&body, m.generation);
-  wire::PutU32(&body, m.partitions);
-  wire::PutU32(&body, static_cast<uint32_t>(m.tables.size()));
-  for (const auto& sl : m.tables) PutSegments(&body, sl);
-  wire::PutU32(&body, static_cast<uint32_t>(m.view_meta.size()));
-  for (size_t i = 0; i < m.view_meta.size(); ++i) {
-    PutViewMeta(&body, m.view_meta[i]);
-    PutPendingLogs(&body, m.view_meta[i]);
-    PutSegments(&body, m.view_segments[i]);
-  }
-  wire::PutU32(&body, static_cast<uint32_t>(m.assertions.size()));
-  for (const auto& def : m.assertions) PutDefinition(&body, def);
-  return body;
-}
-
-CheckpointManifest DecodeManifest(const std::string& body) {
-  wire::Reader r(body);
-  CheckpointManifest m;
-  m.lsn = r.GetU64();
-  m.generation = r.GetU64();
-  m.partitions = r.GetU32();
-  if (m.partitions == 0) {
-    throw CorruptionError("checkpoint: zero manifest partition count");
-  }
-  uint32_t n_tables = r.GetCount();
-  for (uint32_t i = 0; i < n_tables; ++i) {
-    m.tables.push_back(GetSegments(&r, m.partitions));
-  }
-  uint32_t n_views = r.GetCount();
-  for (uint32_t i = 0; i < n_views; ++i) {
-    CheckpointView view = GetViewMeta(&r);
-    GetPendingLogs(&r, &view);
-    m.view_meta.push_back(std::move(view));
-    m.view_segments.push_back(GetSegments(&r, m.partitions));
-  }
-  uint32_t n_assertions = r.GetCount();
-  for (uint32_t i = 0; i < n_assertions; ++i) {
-    m.assertions.push_back(GetDefinition(&r));
-  }
-  if (!r.AtEnd()) {
-    throw CorruptionError("checkpoint: trailing bytes after manifest");
-  }
-  return m;
-}
-
-std::optional<CheckpointManifest> ReadManifest(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kManifestMagic);
-  if (!body.has_value()) return std::nullopt;
-  try {
-    return DecodeManifest(*body);
-  } catch (const CorruptionError&) {
-    throw;
-  } catch (const Error& e) {
-    throw CorruptionError(std::string("checkpoint: undecodable manifest: ") +
-                          e.what());
-  }
-}
-
-std::string ReadSegmentBody(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kSegmentMagic);
-  if (!body.has_value()) {
-    throw CorruptionError("checkpoint: missing segment " + path);
-  }
-  return std::move(*body);
-}
-
-/// Rebuilds full `CheckpointData` from a manifest: each scope's rows are
-/// the union of its partition segments (partitions are disjoint by hash,
-/// so plain insertion reassembles exactly).
-CheckpointData AssembleFromManifest(const std::string& dir,
-                                    const CheckpointManifest& m) {
-  CheckpointData data;
-  data.lsn = m.lsn;
-  try {
-    for (const SegmentList& sl : m.tables) {
-      std::istringstream first(ReadSegmentBody(dir + "/" + sl.segments[0]));
-      Relation merged = ReadCsv(first);
-      for (size_t p = 1; p < sl.segments.size(); ++p) {
-        std::istringstream csv(ReadSegmentBody(dir + "/" + sl.segments[p]));
-        ReadCsv(csv).Scan([&](const Tuple& t) { merged.Insert(t); });
-      }
-      data.tables.emplace_back(sl.name, std::move(merged));
-    }
-    for (size_t i = 0; i < m.view_meta.size(); ++i) {
-      CheckpointView view = m.view_meta[i];
-      const SegmentList& sl = m.view_segments[i];
-      std::istringstream first(ReadSegmentBody(dir + "/" + sl.segments[0]));
-      CountedRelation merged = ReadCountedCsv(first);
-      for (size_t p = 1; p < sl.segments.size(); ++p) {
-        std::istringstream csv(ReadSegmentBody(dir + "/" + sl.segments[p]));
-        ReadCountedCsv(csv).Scan(
-            [&](const Tuple& t, int64_t count) { merged.Add(t, count); });
-      }
-      view.materialized = std::move(merged);
-      data.views.push_back(std::move(view));
-    }
-  } catch (const CorruptionError&) {
-    throw;
-  } catch (const Error& e) {
-    throw CorruptionError(std::string("checkpoint: undecodable segment: ") +
-                          e.what());
-  }
-  data.assertions = m.assertions;
-  return data;
-}
-
-/// Deletes `seg_*.mv` files in `dir` that `live` does not reference (pass
-/// null to delete them all) plus, always, any leftover temp manifest.
-void SweepSegments(const std::string& dir,
-                   const std::unordered_set<std::string>* live) {
-  std::error_code ec;
-  std::filesystem::remove(dir + "/manifest.mv.tmp", ec);
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("seg_", 0) != 0) continue;
-    if (name.size() < 3 || name.substr(name.size() - 3) != ".mv") continue;
-    if (live != nullptr && live->count(name) > 0) continue;
-    std::filesystem::remove(entry.path(), ec);
-  }
-}
-
 }  // namespace
 
 uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
@@ -572,24 +396,13 @@ uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
   // Fires before the temp file exists, so an injected failure leaves the
   // previous checkpoint (and the un-rotated WAL) fully authoritative.
   MVIEW_FAULT_POINT("checkpoint.write");
-  std::string file = Frame(kMagic, EncodeBody(lsn, db, views, guard));
+  std::string file = Frame(EncodeBody(lsn, db, views, guard));
   CommitFile(path, file);
-
-  // The monolithic file now supersedes any incremental image: a stale
-  // manifest left behind could carry a higher LSN after the WAL rotates
-  // and would win the next recovery with old data.
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string().empty()
-          ? std::string(".")
-          : std::filesystem::path(path).parent_path().string();
-  std::error_code ec;
-  std::filesystem::remove(dir + "/manifest.mv", ec);
-  SweepSegments(dir, nullptr);
   return file.size();
 }
 
 std::optional<CheckpointData> ReadCheckpoint(const std::string& path) {
-  std::optional<std::string> body = ReadFramedFile(path, kMagic);
+  std::optional<std::string> body = ReadFramedFile(path);
   if (!body.has_value()) return std::nullopt;
   try {
     return DecodeBody(*body);
@@ -601,131 +414,6 @@ std::optional<CheckpointData> ReadCheckpoint(const std::string& path) {
     throw CorruptionError(std::string("checkpoint: undecodable body: ") +
                           e.what());
   }
-}
-
-CheckpointManifest WriteIncrementalCheckpoint(
-    const std::string& dir, uint64_t lsn, const Database& db,
-    const ViewManager& views, const IntegrityGuard* guard,
-    const PartitionDirtyMap& dirty, uint32_t partitions,
-    const CheckpointManifest* prev, IncrementalStats* stats) {
-  // Same pre-flight fault point as the monolithic writer: nothing on disk
-  // has changed yet, so the previous image stays authoritative.
-  MVIEW_FAULT_POINT("checkpoint.write");
-  IncrementalStats local;
-  if (stats == nullptr) stats = &local;
-
-  CheckpointManifest m;
-  m.lsn = lsn;
-  m.generation = prev == nullptr ? 1 : prev->generation + 1;
-  m.partitions = partitions == 0 ? 1 : partitions;
-  // Carrying a clean partition forward is only sound when the previous
-  // manifest sliced by the same count AND the dirty map tracked every
-  // mutation since with that count; anything else rewrites everything.
-  const bool carry = prev != nullptr && prev->partitions == m.partitions &&
-                     dirty.enabled() && dirty.partitions() == m.partitions;
-  auto find_prev = [&](const std::vector<SegmentList>* lists,
-                       const std::string& name) -> const SegmentList* {
-    if (!carry || lists == nullptr) return nullptr;
-    for (const auto& sl : *lists) {
-      if (sl.name == name) return &sl;
-    }
-    return nullptr;
-  };
-  uint32_t seq = 0;
-  auto write_segment = [&](std::string csv) {
-    // Fires before each fresh segment: an injected failure mid-checkpoint
-    // leaves orphan segments (swept by the next writer) but the previous
-    // manifest untouched.
-    MVIEW_FAULT_POINT("checkpoint.segment");
-    std::string file = SegmentName(m.generation, seq++);
-    std::string framed = Frame(kSegmentMagic, csv);
-    WriteFileDurable(dir + "/" + file, framed);
-    stats->bytes_written += framed.size();
-    ++stats->segments_written;
-    return file;
-  };
-
-  for (const auto& name : db.Names()) {
-    const Relation& rel = db.Get(name);
-    const SegmentList* old =
-        find_prev(prev == nullptr ? nullptr : &prev->tables, name);
-    const std::string scope = "t:" + name;
-    SegmentList sl;
-    sl.name = name;
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (old != nullptr && !dirty.IsDirty(scope, p)) {
-        sl.segments.push_back(old->segments[p]);
-        ++stats->partitions_skipped;
-      } else {
-        sl.segments.push_back(write_segment(TableSliceCsv(rel, p, m.partitions)));
-      }
-    }
-    m.tables.push_back(std::move(sl));
-  }
-  for (const auto& name : views.ViewNames()) {
-    m.view_meta.push_back(BuildViewMeta(views, name));
-    const CountedRelation& rel = views.Materialization(name);
-    const SegmentList* old =
-        find_prev(prev == nullptr ? nullptr : &prev->view_segments, name);
-    const std::string scope = "v:" + name;
-    SegmentList sl;
-    sl.name = name;
-    for (uint32_t p = 0; p < m.partitions; ++p) {
-      if (old != nullptr && !dirty.IsDirty(scope, p)) {
-        sl.segments.push_back(old->segments[p]);
-        ++stats->partitions_skipped;
-      } else {
-        sl.segments.push_back(write_segment(ViewSliceCsv(rel, p, m.partitions)));
-      }
-    }
-    m.view_segments.push_back(std::move(sl));
-  }
-  if (guard != nullptr) {
-    for (const auto& name : guard->AssertionNames()) {
-      m.assertions.push_back(guard->Definition(name));
-    }
-  }
-
-  // Commit point: once the manifest rename lands, the new image is the
-  // recovery source; before it, the old manifest still references every
-  // segment it needs (fresh ones used new names, nothing was overwritten).
-  std::string framed = Frame(kManifestMagic, EncodeManifest(m));
-  CommitFile(dir + "/manifest.mv", framed);
-  stats->bytes_written += framed.size();
-
-  // The incremental image now supersedes the monolithic file, and
-  // segments only the *old* manifest referenced are garbage.
-  std::error_code ec;
-  std::filesystem::remove(dir + "/checkpoint.mv", ec);
-  std::unordered_set<std::string> live;
-  for (const auto& sl : m.tables) {
-    live.insert(sl.segments.begin(), sl.segments.end());
-  }
-  for (const auto& sl : m.view_segments) {
-    live.insert(sl.segments.begin(), sl.segments.end());
-  }
-  SweepSegments(dir, &live);
-  return m;
-}
-
-std::optional<RecoveredCheckpoint> ReadCheckpointAuto(const std::string& dir) {
-  std::optional<CheckpointData> mono = ReadCheckpoint(dir + "/checkpoint.mv");
-  std::optional<CheckpointManifest> mani = ReadManifest(dir + "/manifest.mv");
-  // Higher LSN wins; the monolithic file wins ties because it is always
-  // written as the superseding image (its writer deletes the manifest —
-  // both present at the same LSN means that delete was lost mid-crash).
-  if (mani.has_value() && (!mono.has_value() || mani->lsn > mono->lsn)) {
-    RecoveredCheckpoint out;
-    out.data = AssembleFromManifest(dir, *mani);
-    out.manifest = std::move(mani);
-    return out;
-  }
-  if (mono.has_value()) {
-    RecoveredCheckpoint out;
-    out.data = std::move(*mono);
-    return out;
-  }
-  return std::nullopt;
 }
 
 }  // namespace mview::storage

@@ -57,12 +57,9 @@ struct CheckpointData {
 ///
 /// Table and view contents are embedded as CSV blobs (the `relational/`
 /// codecs), conditions structurally — `Condition::ToString` is not
-/// re-parseable, so no text round-trip.  Throws `IoError` on file errors.
-///
-/// A successful monolithic write also deletes any incremental manifest
-/// and its segments in the same directory — the fresh file supersedes
-/// them, and leaving a stale higher-LSN manifest behind would win the
-/// next recovery.  Returns the bytes written.
+/// re-parseable, so no text round-trip.  Fires the "checkpoint.write"
+/// fault point before touching the disk.  Throws `IoError` on file
+/// errors; returns the bytes written.
 uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
                          const Database& db, const ViewManager& views,
                          const IntegrityGuard* guard);
@@ -72,80 +69,6 @@ uint64_t WriteCheckpoint(const std::string& path, uint64_t lsn,
 /// when the file exists but fails validation (bad magic, CRC mismatch,
 /// undecodable body) and `IoError` on read errors.
 std::optional<CheckpointData> ReadCheckpoint(const std::string& path);
-
-// --- incremental (partition-segment) checkpoints ---------------------------
-//
-// The incremental format splits a checkpoint into a small manifest
-// (`manifest.mv`) and one row segment per (scope, hash partition)
-// (`seg_<generation>_<seq>.mv`).  The manifest carries everything
-// non-row — LSN, table names, view definitions/options/health/pending
-// backlogs, assertions — plus, per scope, the ordered list of segment
-// files holding its partitions' rows.  Writing a new checkpoint rewrites
-// only the segments of partitions the dirty map reports changed; clean
-// partitions carry their previous generation's file forward, so
-// checkpoint cost is O(dirty partitions), not O(database).
-//
-// The manifest rename is the commit point: segments are written and
-// fsynced first (a crash leaves unreferenced orphans, removed by the next
-// writer's sweep), then the manifest replaces its predecessor atomically.
-// Pending backlogs ride in the manifest rather than in segments because
-// deferred logging mutates them without touching the materialization —
-// the dirty map tracks rows, and the manifest is rewritten every time.
-
-/// One scope's (table's or view's) segment listing: `segments[p]` holds
-/// partition `p`'s rows.  Size always equals the manifest's `partitions`.
-struct SegmentList {
-  std::string name;
-  std::vector<std::string> segments;  // file names relative to the dir
-};
-
-/// A decoded `manifest.mv`.  `views` metadata lives in `view_meta`
-/// (parallel to `view_segments`) with `materialized` left empty — rows
-/// live in the segments.
-struct CheckpointManifest {
-  uint64_t lsn = 0;
-  uint64_t generation = 0;  // monotonic per manifest write
-  uint32_t partitions = 0;  // row-hash partition count of every scope
-  std::vector<SegmentList> tables;
-  std::vector<CheckpointView> view_meta;  // materialized empty
-  std::vector<SegmentList> view_segments;
-  std::vector<ViewDefinition> assertions;
-};
-
-/// Byte/segment accounting of one incremental write.
-struct IncrementalStats {
-  uint64_t bytes_written = 0;      // manifest + fresh segments
-  int64_t segments_written = 0;    // fresh segment files
-  int64_t partitions_skipped = 0;  // carried forward unchanged
-};
-
-/// Writes an incremental checkpoint into `dir`.  Partitions whose scope
-/// is clean in `dirty` reuse `prev`'s segments; everything else (no
-/// `prev`, partition-count mismatch, scope absent from `prev`, or dirty)
-/// is rewritten.  Fires "checkpoint.write" once up front and
-/// "checkpoint.segment" before each fresh segment; a failure at either
-/// leaves the previous manifest fully authoritative.  After the manifest
-/// commits, unreferenced `seg_*.mv` files and any monolithic
-/// `checkpoint.mv` are removed.  Returns the new manifest.
-CheckpointManifest WriteIncrementalCheckpoint(
-    const std::string& dir, uint64_t lsn, const Database& db,
-    const ViewManager& views, const IntegrityGuard* guard,
-    const PartitionDirtyMap& dirty, uint32_t partitions,
-    const CheckpointManifest* prev, IncrementalStats* stats);
-
-/// A checkpoint recovered by `ReadCheckpointAuto`: the decoded state plus
-/// the manifest it came from when the incremental image won (absent when
-/// the monolithic file did).
-struct RecoveredCheckpoint {
-  CheckpointData data;
-  std::optional<CheckpointManifest> manifest;
-};
-
-/// Reads whichever checkpoint image in `dir` is newest: decodes both
-/// `checkpoint.mv` and `manifest.mv` headers when present, picks the
-/// higher LSN (the monolithic file wins ties — it is written as the
-/// superseding image).  Returns nullopt when neither exists.
-std::optional<RecoveredCheckpoint> ReadCheckpointAuto(const std::string& dir);
 
 }  // namespace mview::storage
 

@@ -14,6 +14,29 @@
 #include "util/stopwatch.h"
 
 namespace mview {
+namespace {
+
+/// Refuses a directory written by the retired partition-segment format
+/// (`manifest.mv` plus `seg_*.mv` files).  Its manifest may carry a higher
+/// LSN than `checkpoint.mv`, with the log already rotated past it, so
+/// recovering from `checkpoint.mv` alone would silently drop acknowledged
+/// commits.
+void RejectSegmentFormat(const std::string& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    const bool segment = name.rfind("seg_", 0) == 0 && name.size() > 7 &&
+                         name.compare(name.size() - 3, 3, ".mv") == 0;
+    if (name == "manifest.mv" || segment) {
+      throw storage::CorruptionError(
+          "storage: " + entry.path().string() +
+          " belongs to the retired partition-segment checkpoint format, "
+          "which this version cannot recover");
+    }
+  }
+}
+
+}  // namespace
 
 std::unique_ptr<Storage> Storage::Open(const std::string& path,
                                        Options options) {
@@ -50,24 +73,15 @@ void Storage::Attach(sql::EngineCore& core) {
   Database& db = core.storage_database();
   ViewManager& views = core.storage_views();
 
+  RejectSegmentFormat(path_);
   uint64_t checkpoint_lsn = 0;
   bool have_checkpoint = false;
   std::vector<ViewDefinition> assertions;
-  if (auto recovered = storage::ReadCheckpointAuto(path_)) {
+  if (auto checkpoint = storage::ReadCheckpoint(checkpoint_path())) {
     have_checkpoint = true;
-    checkpoint_lsn = recovered->data.lsn;
-    assertions = std::move(recovered->data.assertions);
-    storage::InstallCheckpoint(std::move(recovered->data), &db, &views);
-    // Carried into the next incremental write so its clean segments are
-    // reused; a monolithic image leaves this empty (full rewrite next).
-    manifest_ = std::move(recovered->manifest);
-  }
-
-  // Dirty tracking starts now — after the checkpoint image (which the
-  // segments already cover) and before WAL replay (whose effects they do
-  // not): every replayed mutation marks its partitions like a live one.
-  if (options_.incremental_checkpoints) {
-    views.dirty_partitions().Enable(options_.checkpoint_partitions);
+    checkpoint_lsn = checkpoint->lsn;
+    assertions = std::move(checkpoint->assertions);
+    storage::InstallCheckpoint(std::move(*checkpoint), &db, &views);
   }
 
   StorageMetrics& metrics = views.metrics().storage();
@@ -147,38 +161,20 @@ void Storage::Attach(sql::EngineCore& core) {
   engine_ = &core;
 }
 
-void Storage::Checkpoint() { CheckpointInternal(/*force_monolithic=*/false); }
-
-void Storage::CheckpointInternal(bool force_monolithic) {
+void Storage::Checkpoint() {
   MVIEW_CHECK(engine_ != nullptr && wal_ != nullptr, "storage not attached");
   static const uint32_t kCheckpointName =
       obs::Tracer::Global().InternName("checkpoint");
   obs::TraceSpan span(kCheckpointName);
   Stopwatch timer;
   uint64_t lsn = wal_->stats().durable_lsn;
-  ViewManager& views = engine_->storage_views();
-  StorageMetrics& metrics = views.metrics().storage();
-  if (options_.incremental_checkpoints && !force_monolithic) {
-    storage::IncrementalStats inc;
-    manifest_ = storage::WriteIncrementalCheckpoint(
-        path_, lsn, engine_->database(), engine_->views(), &engine_->guard(),
-        views.dirty_partitions(), options_.checkpoint_partitions,
-        manifest_.has_value() ? &*manifest_ : nullptr, &inc);
-    metrics.checkpoint_bytes += static_cast<int64_t>(inc.bytes_written);
-    metrics.segments_written += inc.segments_written;
-    metrics.partitions_skipped += inc.partitions_skipped;
-  } else {
-    uint64_t bytes =
-        storage::WriteCheckpoint(checkpoint_path(), lsn, engine_->database(),
-                                 engine_->views(), &engine_->guard());
-    metrics.checkpoint_bytes += static_cast<int64_t>(bytes);
-    manifest_.reset();  // the monolithic writer deleted the manifest
-  }
-  // Everything marked so far is covered by the image just written; marks
-  // from here on belong to the next checkpoint.  Cleared before `Rotate`
-  // so a rotate failure can only cause re-replay (idempotent), never a
-  // carry-forward of rows the image missed.
-  views.dirty_partitions().Clear();
+  StorageMetrics& metrics = engine_->storage_views().metrics().storage();
+  uint64_t bytes =
+      storage::WriteCheckpoint(checkpoint_path(), lsn, engine_->database(),
+                               engine_->views(), &engine_->guard());
+  metrics.checkpoint_bytes += static_cast<int64_t>(bytes);
+  // After the rename: a crash before or during `Rotate` leaves records the
+  // image already covers, which replay skips by LSN.
   wal_->Rotate(lsn);
   ++metrics.checkpoints;
   metrics.checkpoint_nanos += timer.ElapsedNanos();
@@ -204,10 +200,7 @@ void Storage::LogCommit(const TransactionEffect& effect) {
 void Storage::OnCatalogChange() {
   if (wal_ == nullptr) return;
   try {
-    // Forced monolithic: segment carry-forward assumes the catalog of the
-    // previous manifest, and DDL (create/drop of tables or views) breaks
-    // that assumption — a full rewrite re-anchors the incremental chain.
-    CheckpointInternal(/*force_monolithic=*/true);
+    Checkpoint();
   } catch (...) {
     // The in-memory catalog already changed but the durable checkpoint
     // does not reflect it, and the log never carries DDL — a later commit

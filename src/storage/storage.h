@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "storage/checkpoint.h"
@@ -17,8 +16,8 @@ class EngineCore;
 namespace mview {
 
 /// The single storage-facing facade: one durable database directory
-/// holding a checkpoint (`checkpoint.mv`) and a write-ahead log
-/// (`wal.mv`).
+/// holding a checkpoint (`checkpoint.mv`, one file with the full engine
+/// image) and a write-ahead log (`wal.mv`).
 ///
 /// Lifecycle: `Open` the directory, construct an `sql::Engine` with the
 /// `Storage*` (the engine attaches, which recovers — checkpoint restore,
@@ -42,20 +41,6 @@ class Storage {
     /// Checkpoint automatically in `Close` (skipped when the log has
     /// failed — a later `Open` recovers from the last durable state).
     bool checkpoint_on_close = true;
-
-    /// Write partition-segment (incremental) checkpoints: `Checkpoint`
-    /// rewrites only the hash partitions the dirty map reports changed
-    /// since the last one — O(dirty), not O(database).  Catalog changes
-    /// still force a full monolithic rewrite (the manifest carry-forward
-    /// assumes a stable catalog).  When false, every checkpoint is the
-    /// classic single-file rewrite.
-    bool incremental_checkpoints = true;
-
-    /// Hash-partition count for checkpoint segments and dirty tracking
-    /// (whole-tuple hash; independent of any view's maintenance
-    /// partitioning).  More partitions → finer dirty granularity but more
-    /// files per full rewrite.
-    uint32_t checkpoint_partitions = 16;
 
     /// Fault injection for crash tests; not owned, may be null.
     storage::FailurePolicy* failure_policy = nullptr;
@@ -91,7 +76,10 @@ class Storage {
   /// Called by the `sql::EngineCore(Storage*)` constructor; callable
   /// directly for engines assembled by hand.  Throws
   /// `storage::CorruptionError` / `storage::IoError` on unrecoverable
-  /// state.
+  /// state, including a directory that still holds files of the retired
+  /// partition-segment checkpoint format (its WAL may already be rotated
+  /// past `checkpoint.mv`, so recovering from that file alone would lose
+  /// acknowledged commits).
   void Attach(sql::EngineCore& core);
 
   /// Snapshots the full engine state (at the current durable LSN) to the
@@ -108,7 +96,6 @@ class Storage {
   const std::string& path() const { return path_; }
   std::string wal_path() const { return path_ + "/wal.mv"; }
   std::string checkpoint_path() const { return path_ + "/checkpoint.mv"; }
-  std::string manifest_path() const { return path_ + "/manifest.mv"; }
 
   /// Counters of the underlying log (zeroes when not attached) — what SQL
   /// `SHOW WAL` prints.
@@ -129,13 +116,8 @@ class Storage {
   /// write-ahead rule).
   void LogCommit(const TransactionEffect& effect);
 
-  /// The shared body of `Checkpoint`/`OnCatalogChange`: incremental when
-  /// configured and not forced monolithic, classic rewrite otherwise.  A
-  /// successful write of either kind clears the dirty-partition map.
-  void CheckpointInternal(bool force_monolithic);
-
-  /// Called by the engine after any successful catalog change; forces a
-  /// checkpoint so the log never spans DDL.  When the checkpoint fails
+  /// Called by the engine after any successful catalog change; takes a
+  /// `Checkpoint` so the log never spans DDL.  When the checkpoint fails
   /// the log is sticky-failed before the error propagates: the in-memory
   /// catalog has already diverged from the durable state, so no further
   /// commit may be acknowledged until the directory is reopened.
@@ -151,10 +133,6 @@ class Storage {
   Options options_;
   sql::EngineCore* engine_ = nullptr;
   std::unique_ptr<storage::Wal> wal_;
-  /// The manifest of the last incremental checkpoint (written here or
-  /// recovered at `Attach`); the next incremental write carries its clean
-  /// segments forward.  Absent after a monolithic write or fresh open.
-  std::optional<storage::CheckpointManifest> manifest_;
 };
 
 }  // namespace mview

@@ -55,7 +55,6 @@ const char* const kAllPoints[] = {
     "wal.before_sync",
     "wal.torn_write",
     "checkpoint.write",
-    "checkpoint.segment",
 };
 
 // Points whose behaviour can depend on the cross-transaction join cache;

@@ -3,11 +3,10 @@
 // what the unpartitioned pipeline and from-scratch re-evaluation produce
 // — under both delta strategies, with the cross-transaction cache on and
 // off, and with the per-partition jobs fanned over a worker pool.  The
-// checkpoint twins assert the storage-layer mirror: an engine writing
-// dirty-partition incremental checkpoints recovers byte-for-byte the
-// state a monolithic-checkpoint engine (and an undisturbed in-memory
-// engine) holds, including across a carry-forward checkpoint that
-// rewrote only a fraction of the segments.
+// checkpoint test asserts the durable mirror: an engine whose partitioned
+// views recover from a checkpoint plus a replayed WAL tail holds exactly
+// what an undisturbed in-memory engine holds, before and after further
+// commits.
 
 #include <gtest/gtest.h>
 
@@ -207,7 +206,7 @@ TEST(PartitionSqlTest, ScrubPartitionWalksSlicesAndRestartsOnMutation) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/recovery twins.
+// Checkpoint/recovery.
 
 class PartitionCheckpointTest : public ::testing::Test {
  protected:
@@ -221,14 +220,12 @@ class PartitionCheckpointTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
   }
 
-  std::string Dir(const char* leaf) const { return (dir_ / leaf).string(); }
-
-  static std::unique_ptr<Storage> Open(const std::string& dir,
-                                       bool incremental) {
+  // No checkpoint on close, so recovery replays every commit after the
+  // last explicit CHECKPOINT through the partitioned pipeline.
+  std::unique_ptr<Storage> Open() const {
     Storage::Options options;
-    options.incremental_checkpoints = incremental;
-    options.checkpoint_partitions = 8;
-    return Storage::Open(dir, options);
+    options.checkpoint_on_close = false;
+    return Storage::Open(dir_.string(), options);
   }
 
   // Every base table and view materialization, via sorted SELECT.
@@ -242,14 +239,15 @@ class PartitionCheckpointTest : public ::testing::Test {
     }
   }
 
+  // `joined` takes the keyed layout, `filtered` (one base) the row-hash
+  // fallback.
   static const char* Preamble() {
     return "CREATE TABLE r (a INT64, b INT64);"
            "CREATE TABLE s (b2 INT64, c INT64);"
            "CREATE MATERIALIZED VIEW joined PARTITIONS 4 AS "
            "  SELECT a, c FROM r, s WHERE b = b2;"
-           "CREATE MATERIALIZED VIEW filtered AS "
+           "CREATE MATERIALIZED VIEW filtered PARTITIONS 3 AS "
            "  SELECT a, b FROM r WHERE a < 600;";
-    // `joined` exercises the keyed layout through the durable path.
   }
 
   // A deterministic workload chunk; `phase` offsets the key space so
@@ -274,72 +272,29 @@ class PartitionCheckpointTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(PartitionCheckpointTest, IncrementalAndMonolithicRecoverIdentically) {
+TEST_F(PartitionCheckpointTest, DurableEngineRecoversPartitionedViews) {
   Engine reference;
   reference.ExecuteScript(Preamble());
   {
-    auto inc_storage = Open(Dir("inc"), /*incremental=*/true);
-    auto mono_storage = Open(Dir("mono"), /*incremental=*/false);
-    Engine inc(inc_storage.get());
-    Engine mono(mono_storage.get());
-    inc.ExecuteScript(Preamble());
-    mono.ExecuteScript(Preamble());
+    auto storage = Open();
+    Engine durable(storage.get());
+    durable.ExecuteScript(Preamble());
     for (int phase = 0; phase < 4; ++phase) {
       RunChunk(reference, phase);
-      RunChunk(inc, phase);
-      RunChunk(mono, phase);
-      // Checkpoint mid-stream so later phases replay WAL on top of a
-      // partition-granular (resp. monolithic) image at recovery.
-      if (phase == 1) {
-        inc.Execute("CHECKPOINT");
-        mono.Execute("CHECKPOINT");
-      }
+      RunChunk(durable, phase);
+      // Checkpoint mid-stream so phases 2 and 3 replay from the WAL on
+      // top of the image at recovery.
+      if (phase == 1) durable.Execute("CHECKPOINT");
     }
   }
-  auto inc_storage = Open(Dir("inc"), /*incremental=*/true);
-  auto mono_storage = Open(Dir("mono"), /*incremental=*/false);
-  Engine inc(inc_storage.get());
-  Engine mono(mono_storage.get());
-  ExpectSameState(inc, reference, "incremental recovery");
-  ExpectSameState(mono, reference, "monolithic recovery");
-  // Recovered engines keep maintaining correctly.
+  auto storage = Open();
+  Engine durable(storage.get());
+  EXPECT_GT(durable.mutable_views().metrics().storage().replayed_records, 0);
+  ExpectSameState(durable, reference, "recovery");
+  // The recovered engine keeps maintaining correctly.
   RunChunk(reference, 4);
-  RunChunk(inc, 4);
-  RunChunk(mono, 4);
-  ExpectSameState(inc, reference, "incremental post-recovery");
-  ExpectSameState(mono, reference, "monolithic post-recovery");
-}
-
-TEST_F(PartitionCheckpointTest, DirtyCarryForwardRecovers) {
-  Engine reference;
-  reference.ExecuteScript(Preamble());
-  {
-    auto storage = Open(Dir("inc"), /*incremental=*/true);
-    Engine engine(storage.get());
-    engine.ExecuteScript(Preamble());
-    for (int phase = 0; phase < 3; ++phase) {
-      RunChunk(reference, phase);
-      RunChunk(engine, phase);
-    }
-    // Anchor: a full image (the view DDL above forced monolithic, so
-    // this explicit checkpoint writes every segment fresh).
-    engine.Execute("CHECKPOINT");
-    // A single small commit, then a second checkpoint: it must carry
-    // clean segments forward instead of rewriting them.
-    reference.Execute("INSERT INTO r VALUES (9001, 3)");
-    engine.Execute("INSERT INTO r VALUES (9001, 3)");
-    StorageMetrics& m = engine.mutable_views().metrics().storage();
-    const int64_t skipped_before = m.partitions_skipped;
-    engine.Execute("CHECKPOINT");
-    EXPECT_GT(m.partitions_skipped, skipped_before)
-        << "second checkpoint rewrote everything; carry-forward inert";
-    // More WAL on top of the carried image before the crashless close.
-    RunChunk(reference, 3);
-    RunChunk(engine, 3);
-  }
-  auto storage = Open(Dir("inc"), /*incremental=*/true);
-  Engine engine(storage.get());
-  ExpectSameState(engine, reference, "carry-forward recovery");
+  RunChunk(durable, 4);
+  ExpectSameState(durable, reference, "post-recovery");
 }
 
 }  // namespace

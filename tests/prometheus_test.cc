@@ -188,6 +188,9 @@ TEST(PrometheusTest, EngineEndToEndExport) {
     EXPECT_GE(samples.at("mview_commits_total"), 2);
     EXPECT_GE(samples.at("mview_wal_appends_total"), 2);
     EXPECT_GE(samples.at("mview_checkpoints_total"), 1);
+    EXPECT_GT(samples.at("mview_checkpoint_bytes_total"), 0);
+    EXPECT_EQ(samples.count("mview_checkpoint_segments_total"), 0u);
+    EXPECT_EQ(samples.count("mview_checkpoint_partitions_skipped_total"), 0u);
     EXPECT_GE(samples.at("mview_fsync_latency_seconds_count"), 2);
     EXPECT_GE(samples.at("mview_view_transactions_total{view=\"v\"}"), 2);
     EXPECT_GE(samples.at("mview_commit_latency_seconds_count"), 2);

@@ -84,9 +84,12 @@ TEST(StatsJsonTest, GoldenSchema) {
     const JsonValue& storage_json = doc.At("storage");
     for (const char* key :
          {"wal_appends", "wal_fsyncs", "wal_bytes", "fsync_nanos",
-          "checkpoints", "checkpoint_nanos", "replayed_records",
-          "batch_commits_histogram", "fsync_latency"}) {
+          "checkpoints", "checkpoint_nanos", "checkpoint_bytes",
+          "replayed_records", "batch_commits_histogram", "fsync_latency"}) {
       ASSERT_TRUE(storage_json.Has(key)) << key;
+    }
+    for (const char* key : {"segments_written", "partitions_skipped"}) {
+      EXPECT_FALSE(storage_json.Has(key)) << key;
     }
     EXPECT_GT(storage_json.At("wal_appends").number, 0);
     EXPECT_GT(storage_json.At("fsync_latency").At("count").number, 0);
