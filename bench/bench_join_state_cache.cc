@@ -6,22 +6,33 @@
 // updated by the normalized deltas, so per-commit latency stays flat as
 // the base grows.
 //
-// The workload drives a DifferentialMaintainer directly over *unindexed*
+// The first sweep drives a DifferentialMaintainer directly over *unindexed*
 // bases (r ⋈ s on r_a1 = s_a0, transactions touching only r), the regime
-// where the planner takes the hash-join path: ViewManager-registered views
-// get equi-join indexes and sidestep the rebuild.  The join fan-out is held
-// at ~5 matches per delta row across the sweep (domain scales with the
-// base) so output size does not grow with |base| and any latency growth is
+// where the planner takes the hash-join path.  The join fan-out is held at
+// ~5 matches per delta row across the sweep (domain scales with the base)
+// so output size does not grow with |base| and any latency growth is
 // attributable to the clean-side rebuild.
 //
-// `--json <path>` writes the sweep rows (BENCH_E16.json in EXPERIMENTS.md).
+// The second sweep runs the path the engine runs: views registered through
+// a ViewManager, which indexes equi-join attributes at registration.  The
+// equi-join r_a1 = s_a0 then probes the index and never consults the
+// cache; the non-equi join r_a1 < s_a0 && s_a1 = 7 has no index to probe,
+// so without the cache every commit re-scans s for its selective
+// clean-side filter.  Domains equal the base size (~1 match per key), and
+// the time reported is the view's own maintenance time per commit.
+//
+// `--json <path>` writes the rows of both sweeps, in that order
+// (BENCH_E16.json in EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "ivm/differential.h"
+#include "ivm/view_manager.h"
 #include "util/stopwatch.h"
 #include "workload/generator.h"
 
@@ -82,6 +93,60 @@ struct Setup {
   }
 };
 
+// One view registered through a ViewManager over r and s with `base_rows`
+// rows each; transactions touch only r.
+struct EngineSetup {
+  Database db;
+  WorkloadGenerator gen{42};
+  RelationSpec r, s;
+  ViewManager vm{&db};
+
+  EngineSetup(size_t base_rows, const char* condition, bool cached)
+      : r{"r", 2, static_cast<int64_t>(base_rows), base_rows},
+        s{"s", 2, static_cast<int64_t>(base_rows), base_rows} {
+    gen.Populate(&db, r);
+    gen.Populate(&db, s);
+    vm.RegisterView(ViewDefinition("v", {BaseRef{"r", {}}, BaseRef{"s", {}}},
+                                   condition, {"r_a0", "s_a1"}),
+                    MaintenanceMode::kImmediate, Setup::MakeOptions(cached));
+  }
+
+  void Commit(size_t delta_rows) {
+    Transaction txn;
+    gen.AddUpdates(&txn, r, delta_rows, delta_rows);
+    vm.Apply(txn);
+  }
+
+  struct Sample {
+    double seconds = 0;  // the view's maintenance time per commit
+    double lookups = 0;  // join-state cache hits + misses per commit
+  };
+
+  // Steady state after the same untimed warmup as `Setup::TimePerCommit`.
+  Sample TimePerCommit(size_t commits, size_t delta_rows) {
+    for (size_t i = 0; i < 5; ++i) Commit(delta_rows);
+    const MaintenanceStats before = vm.Describe("v").stats;
+    for (size_t i = 0; i < commits; ++i) Commit(delta_rows);
+    const MaintenanceStats after = vm.Describe("v").stats;
+    const double n = static_cast<double>(commits);
+    return {static_cast<double>(after.maintenance_nanos -
+                                before.maintenance_nanos) /
+                1e9 / n,
+            static_cast<double>(after.cache_hits + after.cache_misses -
+                                before.cache_hits - before.cache_misses) /
+                n};
+  }
+};
+
+struct EngineView {
+  int id;  // the `engine_view` JSON field
+  const char* condition;
+};
+constexpr EngineView kEngineViews[] = {
+    {1, "r_a1 = s_a0"},               // index path
+    {2, "r_a1 < s_a0 && s_a1 = 7"},   // cache path
+};
+
 void BM_SteadyStateCommit(benchmark::State& state) {
   Setup setup(static_cast<size_t>(state.range(0)), state.range(1) != 0);
   setup.Commit(10);  // warmup
@@ -126,6 +191,49 @@ void PrintSummary() {
     }
   }
   table.Print();
+
+  bench::SummaryTable engine_table(
+      "E16 (engine path): per-view maintenance time per commit, views "
+      "registered through ViewManager, transactions touch only r",
+      {"view", "base rows", "delta rows", "cache off", "cache on", "off/on",
+       "lookups/commit"});
+  for (const EngineView& view : kEngineViews) {
+    for (size_t base : bases) {
+      // One setup at a time keeps the 1M point's footprint to one pair
+      // of bases.
+      std::vector<EngineSetup::Sample> off, on;
+      {
+        EngineSetup setup(base, view.condition, /*cached=*/false);
+        for (size_t delta : deltas) {
+          off.push_back(setup.TimePerCommit(commits, delta));
+        }
+      }
+      {
+        EngineSetup setup(base, view.condition, /*cached=*/true);
+        for (size_t delta : deltas) {
+          on.push_back(setup.TimePerCommit(commits, delta));
+        }
+      }
+      for (size_t d = 0; d < deltas.size(); ++d) {
+        const double ratio = off[d].seconds / on[d].seconds;
+        char lookups[32];
+        std::snprintf(lookups, sizeof(lookups), "%.1f", on[d].lookups);
+        engine_table.AddRow({view.condition, std::to_string(base),
+                             std::to_string(deltas[d]),
+                             FormatSeconds(off[d].seconds),
+                             FormatSeconds(on[d].seconds),
+                             FormatSpeedup(ratio), lookups});
+        json.Add({{"engine_view", static_cast<double>(view.id)},
+                  {"base_rows", static_cast<double>(base)},
+                  {"delta_rows", static_cast<double>(deltas[d])},
+                  {"cold_seconds", off[d].seconds},
+                  {"warm_seconds", on[d].seconds},
+                  {"speedup", ratio},
+                  {"cache_lookups", on[d].lookups}});
+      }
+    }
+  }
+  engine_table.Print();
   json.WriteIfRequested();
 }
 

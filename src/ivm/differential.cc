@@ -1,6 +1,5 @@
 #include "ivm/differential.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "obs/trace.h"
@@ -69,10 +68,6 @@ MaintenanceStats& MaintenanceStats::operator+=(const MaintenanceStats& o) {
   batch_rows += o.batch_rows;
   arena_bytes += o.arena_bytes;
   arena_high_water += o.arena_high_water;
-  partition_jobs += o.partition_jobs;
-  partitions_pruned += o.partitions_pruned;
-  partition_rows_total += o.partition_rows_total;
-  partition_rows_max = std::max(partition_rows_max, o.partition_rows_max);
   plan += o.plan;
   return *this;
 }
@@ -89,36 +84,14 @@ DifferentialMaintainer::DifferentialMaintainer(ViewDefinition def,
   }
   plan_.emplace(aliased_, &def_.condition(), def_.projection());
   filter_ = std::make_unique<IrrelevanceFilter>(def_, *db_);
-  layout_ =
-      ComputePartitionLayout(def_.condition(), aliased_, options_.partition_count);
-  arenas_.reserve(layout_.count);
-  for (uint32_t p = 0; p < layout_.count; ++p) {
-    arenas_.push_back(std::make_unique<util::Arena>());
-  }
-  BuildShards();
+  ResetJoinCache();
 }
 
-void DifferentialMaintainer::BuildShards() {
-  shards_.clear();
-  if (!options_.enable_join_cache) return;
-  const size_t budget =
-      std::max<size_t>(options_.join_cache_budget_bytes / layout_.count, 1);
-  shards_.reserve(layout_.count);
-  for (uint32_t p = 0; p < layout_.count; ++p) {
-    JoinStateCache::PartitionSpec spec;
-    if (layout_.keyed && layout_.count > 1) {
-      spec.slice = p;
-      spec.total = layout_.count;
-      spec.slot_key_attr = layout_.key_attr;
-    }
-    shards_.push_back(std::make_unique<JoinStateCache>(budget, std::move(spec)));
-  }
-}
-
-size_t DifferentialMaintainer::join_cache_bytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->bytes();
-  return total;
+void DifferentialMaintainer::ResetJoinCache() {
+  cache_ = options_.enable_join_cache
+               ? std::make_unique<JoinStateCache>(
+                     options_.join_cache_budget_bytes)
+               : nullptr;
 }
 
 bool DifferentialMaintainer::AffectedBy(const TransactionEffect& effect) const {
@@ -177,8 +150,7 @@ DifferentialMaintainer::PreparedDelta DifferentialMaintainer::Prepare(
 
   // Cache-round tokens: built from the *unfiltered* deltas so the
   // predicted post-versions match the relations after the commit applies.
-  if (!shards_.empty()) {
-    prep.use_cache = true;
+  if (cache_ != nullptr) {
     prep.slots.resize(n);
     for (size_t i = 0; i < n; ++i) {
       const Relation& rel = db_->Get(def_.bases()[i].relation);
@@ -188,67 +160,11 @@ DifferentialMaintainer::PreparedDelta DifferentialMaintainer::Prepare(
                        re != nullptr ? &re->inserts : nullptr};
     }
   }
-
-  // Slice the screened deltas by partition.  Keyed mode slices by each
-  // base's join-key attribute (layout_.key_attr[i]); row-hash mode by
-  // whole-tuple hash — ComputePartitionLayout encodes both as key_attr.
-  const uint32_t count = layout_.count;
-  prep.active.assign(count, false);
-  auto finish = [&]() {
-    if (phases != nullptr) phases->filter_nanos += filter_timer.ElapsedNanos();
-    if (stats != nullptr) {
-      screen_span.SetArg(kFilteredArg,
-                         stats->updates_filtered - filtered_before);
-    }
-    screen_span.End();
-  };
-  if (count <= 1) {
-    prep.active[0] = true;
-    finish();
-    return prep;
-  }
-  prep.sliced.assign(count, std::vector<BaseParts>(n));
-  std::vector<int64_t> slice_rows(count, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (uint32_t p = 0; p < count; ++p) {
-      prep.sliced[p][i].subtract = prep.parts[i].subtract;
-    }
-    const size_t key_attr = layout_.key_attr[i];
-    auto slice_side = [&](const Relation* src,
-                          const Relation* BaseParts::* side) {
-      if (src == nullptr || src->empty()) return;
-      std::vector<Relation*> out(count);
-      for (uint32_t p = 0; p < count; ++p) {
-        prep.owned.push_back(std::make_unique<Relation>(src->schema()));
-        out[p] = prep.owned.back().get();
-      }
-      src->Scan([&](const Tuple& t) {
-        const uint32_t p = PartitionOf(t, key_attr, count);
-        out[p]->Insert(t);
-        ++slice_rows[p];
-      });
-      for (uint32_t p = 0; p < count; ++p) {
-        if (out[p]->empty()) continue;
-        prep.sliced[p][i].*side = out[p];
-        prep.active[p] = true;
-      }
-    };
-    slice_side(prep.parts[i].inserts, &BaseParts::inserts);
-    slice_side(prep.parts[i].deletes, &BaseParts::deletes);
-  }
-  if (std::none_of(prep.active.begin(), prep.active.end(),
-                   [](bool a) { return a; })) {
-    prep.active[0] = true;
-  }
+  if (phases != nullptr) phases->filter_nanos += filter_timer.ElapsedNanos();
   if (stats != nullptr) {
-    stats->partition_rows_total = 0;
-    stats->partition_rows_max = 0;
-    for (int64_t rows : slice_rows) {
-      stats->partition_rows_total += rows;
-      stats->partition_rows_max = std::max(stats->partition_rows_max, rows);
-    }
+    screen_span.SetArg(kFilteredArg, stats->updates_filtered - filtered_before);
   }
-  finish();
+  screen_span.End();
   return prep;
 }
 
@@ -259,45 +175,36 @@ ViewDelta DifferentialMaintainer::ComputePartition(
       obs::Tracer::Global().InternName("differential");
   static const uint32_t kCacheRepairName =
       obs::Tracer::Global().InternName("join_cache_repair");
-  MVIEW_CHECK(p < layout_.count, "partition index out of range");
+  MVIEW_CHECK(p == 0, "a maintenance round has one evaluation");
   obs::TraceSpan differential_span(kDifferentialName);
   Stopwatch differential_timer;
-  // Open a cache round on this partition's shard: validate entries against
-  // each base's (uid, version) token and apply the *unfiltered* deletes so
-  // warm tables mirror the clean pre-state the planner's clean inputs
-  // stream.  The unfiltered inserts are replayed (through each entry's
-  // stored local and partition filters) when the round closes.  Pruned
-  // partitions run the round too — skipping it would let the shard's
-  // version tokens fall behind the relations and force cold rebuilds.
-  JoinStateCache* shard = prep.use_cache ? shards_[p].get() : nullptr;
+  // Open a cache round: validate entries against each base's (uid,
+  // version) token and apply the *unfiltered* deletes so warm tables
+  // mirror the clean pre-state the planner's clean inputs stream.  The
+  // unfiltered inserts are replayed (through each entry's stored local
+  // filters) when the round closes.
+  JoinStateCache* cache = cache_.get();
   JoinCacheCounters before;
   std::optional<JoinCacheRoundGuard> round;
-  if (shard != nullptr) {
-    before = shard->counters();
+  if (cache != nullptr) {
+    before = cache->counters();
     obs::TraceSpan repair_span(kCacheRepairName);
-    round.emplace(shard);
-    shard->BeginRound(prep.slots);
+    round.emplace(cache);
+    cache->BeginRound(prep.slots);
   }
-  ViewDelta delta(output_schema());
-  if (prep.active[p]) {
-    const bool keyed = layout_.keyed && layout_.count > 1;
-    const std::vector<BaseParts>& full = keyed ? prep.sliced[p] : prep.parts;
-    const std::vector<BaseParts>& anchor =
-        layout_.count > 1 ? prep.sliced[p] : prep.parts;
-    delta = EvaluateSlice(full, anchor, keyed, p, shard, arenas_[p].get(),
-                          stats, cancel);
-    if (stats != nullptr) ++stats->partition_jobs;
-  } else if (stats != nullptr) {
-    ++stats->partitions_pruned;
-  }
-  if (shard != nullptr) {
+  ViewDelta delta = Evaluate(prep.parts, cache, stats, cancel);
+  if (cache != nullptr) {
     round->Commit();
     if (stats != nullptr) {
-      const JoinCacheCounters& after = shard->counters();
+      const JoinCacheCounters& after = cache->counters();
       stats->cache_hits += after.hits - before.hits;
       stats->cache_misses += after.misses - before.misses;
       stats->cache_evictions += after.evictions - before.evictions;
     }
+  }
+  if (stats != nullptr) {
+    stats->delta_inserts += delta.inserts.TotalCount();
+    stats->delta_deletes += delta.deletes.TotalCount();
   }
   if (phases != nullptr) {
     phases->differential_nanos += differential_timer.ElapsedNanos();
@@ -305,103 +212,52 @@ ViewDelta DifferentialMaintainer::ComputePartition(
   return delta;
 }
 
-ViewDelta DifferentialMaintainer::MergePartitions(std::vector<ViewDelta> slices,
-                                                  MaintenanceStats* stats) const {
-  ViewDelta merged(output_schema());
-  if (slices.size() == 1) {
-    merged = std::move(slices.front());
-  } else if (!slices.empty()) {
-    // Sum the signed per-partition measures, then normalize: Normalize is
-    // a function of (inserts − deletes), so the merged delta is
-    // byte-identical to an unpartitioned evaluation of the same round.
-    for (ViewDelta& slice : slices) {
-      slice.inserts.Scan(
-          [&](const Tuple& t, int64_t c) { merged.inserts.Add(t, c); });
-      slice.deletes.Scan(
-          [&](const Tuple& t, int64_t c) { merged.deletes.Add(t, c); });
-    }
-    merged.Normalize();
-  }
-  if (stats != nullptr) {
-    stats->delta_inserts += merged.inserts.TotalCount();
-    stats->delta_deletes += merged.deletes.TotalCount();
-  }
-  return merged;
-}
-
 void DifferentialMaintainer::FinalizeRoundStats(MaintenanceStats* stats) const {
   if (stats == nullptr) return;
-  stats->cache_bytes = static_cast<int64_t>(join_cache_bytes());
-  int64_t reserved = 0;
-  int64_t high_water = 0;
-  for (const auto& arena : arenas_) {
-    reserved += static_cast<int64_t>(arena->stats().bytes_reserved);
-    high_water = std::max(high_water,
-                          static_cast<int64_t>(arena->stats().high_water));
-  }
-  stats->arena_bytes = reserved;
-  stats->arena_high_water = high_water;
+  stats->cache_bytes =
+      cache_ != nullptr ? static_cast<int64_t>(cache_->bytes()) : 0;
+  stats->arena_bytes = static_cast<int64_t>(arena_.stats().bytes_reserved);
+  stats->arena_high_water = static_cast<int64_t>(arena_.stats().high_water);
 }
 
 ViewDelta DifferentialMaintainer::ComputeDelta(
     const TransactionEffect& effect, MaintenanceStats* stats,
     PhaseBreakdown* phases, const util::Cancellation* cancel) const {
   PreparedDelta prep = Prepare(effect, stats, phases);
-  std::vector<ViewDelta> slices;
-  slices.reserve(layout_.count);
-  for (uint32_t p = 0; p < layout_.count; ++p) {
-    ViewDelta slice = ComputePartition(prep, p, stats, phases, cancel);
-    if (!slice.Empty() || layout_.count == 1) {
-      slices.push_back(std::move(slice));
-    }
-  }
-  ViewDelta merged = MergePartitions(std::move(slices), stats);
+  ViewDelta delta = ComputePartition(prep, 0, stats, phases, cancel);
   FinalizeRoundStats(stats);
-  return merged;
+  return delta;
 }
 
 ViewDelta DifferentialMaintainer::ComputeDeltaFromParts(
     const std::vector<BaseParts>& parts, MaintenanceStats* stats) const {
-  // Deferred refresh reconstructs an old state no cached table mirrors and
-  // always runs unpartitioned: the backlog is replayed in one slice.
-  ViewDelta delta = EvaluateSlice(parts, parts, /*slice_clean=*/false,
-                                  /*slice=*/0, /*shard=*/nullptr,
-                                  arenas_.front().get(), stats);
+  // Deferred refresh reconstructs an old state no cached table mirrors.
+  ViewDelta delta = Evaluate(parts, /*cache=*/nullptr, stats);
   if (stats != nullptr) {
     stats->delta_inserts += delta.inserts.TotalCount();
     stats->delta_deletes += delta.deletes.TotalCount();
-    stats->arena_bytes =
-        static_cast<int64_t>(arenas_.front()->stats().bytes_reserved);
-    stats->arena_high_water =
-        static_cast<int64_t>(arenas_.front()->stats().high_water);
+    stats->arena_bytes = static_cast<int64_t>(arena_.stats().bytes_reserved);
+    stats->arena_high_water = static_cast<int64_t>(arena_.stats().high_water);
   }
   return delta;
 }
 
-void DifferentialMaintainer::ResetJoinCache() { BuildShards(); }
-
-ViewDelta DifferentialMaintainer::EvaluateSlice(
-    const std::vector<BaseParts>& full, const std::vector<BaseParts>& anchor,
-    bool slice_clean, uint32_t slice, JoinStateCache* shard,
-    util::Arena* arena, MaintenanceStats* stats,
-    const util::Cancellation* cancel) const {
-  // Covers the delta paths — commit-time rows (every partition) and
-  // deferred refresh funnel through here.  `FullEvaluate` has no point of
-  // its own, but its batches live in an arena, so it does pass
-  // `ra.batch.alloc`: a sticky scratch fault fails REPAIR as well, leaving
-  // the view quarantined until disarmed (tests/chaos_matrix_test.cc).
+ViewDelta DifferentialMaintainer::Evaluate(
+    const std::vector<BaseParts>& parts, JoinStateCache* cache,
+    MaintenanceStats* stats, const util::Cancellation* cancel) const {
+  // Covers the delta paths — commit-time rounds and deferred refresh
+  // funnel through here.  `FullEvaluate` has no point of its own, but its
+  // batches live in an arena, so it does pass `ra.batch.alloc`: a sticky
+  // scratch fault fails REPAIR as well, leaving the view quarantined until
+  // disarmed (tests/chaos_matrix_test.cc).
   MVIEW_FAULT_POINT("differential.eval");
-  MVIEW_CHECK(full.size() == def_.bases().size(),
+  MVIEW_CHECK(parts.size() == def_.bases().size(),
               "expected one BaseParts per base occurrence");
   const size_t n = def_.bases().size();
-  // When the anchor parts are the very same vector (unpartitioned rounds,
-  // keyed mode), the anchor inputs alias the full ones — no duplicate
-  // lazy-index state.
-  const bool separate_anchor = &full != &anchor;
   std::vector<std::unique_ptr<RelationInput>> owned;
-  owned.reserve(n * 5);
+  owned.reserve(n * 3);
   std::vector<RelationInput*> clean(n, nullptr), ins(n, nullptr),
-      del(n, nullptr), a_ins(n, nullptr), a_del(n, nullptr);
+      del(n, nullptr);
   auto keep = [&](std::unique_ptr<RelationInput> input) {
     owned.push_back(std::move(input));
     return owned.back().get();
@@ -418,60 +274,43 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
   for (size_t i = 0; i < n; ++i) {
     const Relation& rel = db_->Get(def_.bases()[i].relation);
     const Relation* subtract =
-        (full[i].subtract != nullptr && !full[i].subtract->empty())
-            ? full[i].subtract
+        (parts[i].subtract != nullptr && !parts[i].subtract->empty())
+            ? parts[i].subtract
             : nullptr;
-    if (slice_clean) {
-      // Keyed co-partitioning: the clean part, too, is one hash slice —
-      // the condition's common equality class guarantees cross-slice
-      // combinations can never join.
-      clean[i] = keep(std::make_unique<PartitionSliceInput>(
-          &rel, aliased_[i], subtract, layout_.key_attr[i], slice,
-          layout_.count));
-    } else if (subtract != nullptr) {
+    if (subtract != nullptr) {
       clean[i] = keep(std::make_unique<SubtractRelationInput>(&rel, subtract,
                                                               aliased_[i]));
     } else {
       clean[i] = keep(std::make_unique<FullRelationInput>(&rel, aliased_[i]));
     }
-    if (shard != nullptr) {
+    if (cache != nullptr) {
       // Only the clean inputs go through the persistent cache: their slot
       // index is a stable identity and their contents advance exactly by
-      // the normalized deltas the shard's round replays (through its
-      // partition filter).
-      clean[i]->BindJoinCache(shard, static_cast<uint32_t>(i));
+      // the normalized deltas the cache's round replays.
+      clean[i]->BindJoinCache(cache, static_cast<uint32_t>(i));
     }
-    ins[i] = make_delta(i, full[i].inserts);
-    del[i] = make_delta(i, full[i].deletes);
-    if (separate_anchor) {
-      a_ins[i] = make_delta(i, anchor[i].inserts);
-      a_del[i] = make_delta(i, anchor[i].deletes);
-    } else {
-      a_ins[i] = ins[i];
-      a_del[i] = del[i];
-    }
+    ins[i] = make_delta(i, parts[i].inserts);
+    del[i] = make_delta(i, parts[i].deletes);
   }
 
   ViewDelta delta(output_schema());
-  PlannerCache cache;
+  PlannerCache round_cache;
   PlannerCache* cache_ptr =
-      options_.reuse_subexpressions ? &cache : nullptr;
-  // The slice's batch scratch: resetting recycles (and, under ASan,
+      options_.reuse_subexpressions ? &round_cache : nullptr;
+  // The round's batch scratch: resetting recycles (and, under ASan,
   // poisons) the previous round's blocks, so every ColumnBatch allocated
-  // below dies when this partition's *next* round begins.
-  arena->Reset();
+  // below dies when the *next* round begins.
+  arena_.Reset();
   BatchEvalStats batch_stats;
   EvalContext ctx;
-  ctx.arena = arena;
+  ctx.arena = &arena_;
   ctx.batch_stats = &batch_stats;
   ctx.cancel = cancel;
   if (cancel != nullptr) cancel->Check();
   if (options_.strategy == DeltaStrategy::kTelescoped) {
-    EnumerateTelescoped(clean, ins, del, a_ins, a_del, &delta, stats,
-                        cache_ptr, &ctx);
+    EnumerateTelescoped(clean, ins, del, &delta, stats, cache_ptr, &ctx);
   } else {
-    EnumerateRows(clean, ins, del, a_ins, a_del, &delta, stats, cache_ptr,
-                  &ctx);
+    EnumerateRows(clean, ins, del, &delta, stats, cache_ptr, &ctx);
   }
   delta.Normalize();
   if (stats != nullptr) {
@@ -484,9 +323,7 @@ ViewDelta DifferentialMaintainer::EvaluateSlice(
 void DifferentialMaintainer::EnumerateTelescoped(
     const std::vector<RelationInput*>& clean,
     const std::vector<RelationInput*>& ins,
-    const std::vector<RelationInput*>& del,
-    const std::vector<RelationInput*>& anchor_ins,
-    const std::vector<RelationInput*>& anchor_del, ViewDelta* delta,
+    const std::vector<RelationInput*>& del, ViewDelta* delta,
     MaintenanceStats* stats, PlannerCache* cache,
     const EvalContext* ctx) const {
   size_t n = def_.bases().size();
@@ -496,9 +333,7 @@ void DifferentialMaintainer::EnumerateTelescoped(
   // relations.  Telescoping:
   //   Π new_i − Π old_i = Σ_j new_{<j} ⋈ (i_j − d_j) ⋈ old_{>j},
   // so each modified relation contributes one insert-tagged and/or one
-  // delete-tagged term anchored at its small delta.  Term j is linear in
-  // that anchor, which is why a partitioned round may hand us a *sliced*
-  // anchor_ins/anchor_del while the non-anchor positions stay full.
+  // delete-tagged term anchored at its small delta.
   std::vector<std::unique_ptr<RelationInput>> concats;
   std::vector<const RelationInput*> old_in(n), new_in(n);
   for (size_t i = 0; i < n; ++i) {
@@ -532,21 +367,15 @@ void DifferentialMaintainer::EnumerateTelescoped(
   };
 
   for (size_t j = 0; j < n; ++j) {
-    if (anchor_ins[j] != nullptr) {
-      evaluate_term(j, anchor_ins[j], /*is_delete=*/false);
-    }
-    if (anchor_del[j] != nullptr) {
-      evaluate_term(j, anchor_del[j], /*is_delete=*/true);
-    }
+    if (ins[j] != nullptr) evaluate_term(j, ins[j], /*is_delete=*/false);
+    if (del[j] != nullptr) evaluate_term(j, del[j], /*is_delete=*/true);
   }
 }
 
 void DifferentialMaintainer::EnumerateRows(
     const std::vector<RelationInput*>& clean,
     const std::vector<RelationInput*>& ins,
-    const std::vector<RelationInput*>& del,
-    const std::vector<RelationInput*>& anchor_ins,
-    const std::vector<RelationInput*>& anchor_del, ViewDelta* delta,
+    const std::vector<RelationInput*>& del, ViewDelta* delta,
     MaintenanceStats* stats, PlannerCache* cache,
     const EvalContext* ctx) const {
   size_t n = def_.bases().size();
@@ -568,11 +397,7 @@ void DifferentialMaintainer::EnumerateRows(
   };
 
   // has_delta: whether a non-clean part has been chosen so far;
-  // is_delete: the row's tag (fixed by the first non-clean choice).  The
-  // first non-clean choice is the row's *anchor*: each row is linear in
-  // it, so a partitioned round substitutes the sliced anchor input there
-  // while later (non-anchor) delta positions keep the full delta — the
-  // per-partition rows then sum to exactly the unpartitioned row.
+  // is_delete: the row's tag (fixed by the first non-clean choice).
   auto recurse = [&](auto&& self, size_t i, bool has_delta,
                      bool is_delete) -> void {
     if (i == n) {
@@ -582,15 +407,13 @@ void DifferentialMaintainer::EnumerateRows(
     row[i] = clean[i];
     self(self, i + 1, has_delta, is_delete);
     // Insert part: allowed unless the row already carries a delete part.
-    const RelationInput* ins_part = has_delta ? ins[i] : anchor_ins[i];
-    if (ins_part != nullptr && (!has_delta || !is_delete)) {
-      row[i] = ins_part;
+    if (ins[i] != nullptr && (!has_delta || !is_delete)) {
+      row[i] = ins[i];
       self(self, i + 1, true, false);
     }
     // Delete part: allowed unless the row already carries an insert part.
-    const RelationInput* del_part = has_delta ? del[i] : anchor_del[i];
-    if (del_part != nullptr && (!has_delta || is_delete)) {
-      row[i] = del_part;
+    if (del[i] != nullptr && (!has_delta || is_delete)) {
+      row[i] = del[i];
       self(self, i + 1, true, true);
     }
   };
@@ -625,10 +448,9 @@ CountedRelation DifferentialMaintainer::FullEvaluateSlice(
     if (i == 0) {
       // Restricting one input partitions the whole join's output (the
       // join is linear in each input), so the `total` slices sum to
-      // exactly `FullEvaluate` — no condition analysis needed, hence the
-      // whole-tuple hash regardless of the view's partition layout.
-      owned[i] = std::make_unique<PartitionSliceInput>(
-          &rel, aliased_[i], /*minus=*/nullptr, kRowHashKey, slice, total);
+      // exactly `FullEvaluate` — no condition analysis needed.
+      owned[i] = std::make_unique<PartitionSliceInput>(&rel, aliased_[i],
+                                                       slice, total);
     } else {
       owned[i] = std::make_unique<FullRelationInput>(&rel, aliased_[i]);
     }

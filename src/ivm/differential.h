@@ -1,6 +1,7 @@
 #ifndef MVIEW_IVM_DIFFERENTIAL_H_
 #define MVIEW_IVM_DIFFERENTIAL_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -8,10 +9,10 @@
 #include "db/transaction.h"
 #include "ivm/delta.h"
 #include "ivm/irrelevance.h"
-#include "ivm/partition.h"
 #include "ivm/view_def.h"
 #include "ra/join_cache.h"
 #include "ra/planner.h"
+#include "relational/partition.h"
 #include "util/arena.h"
 
 namespace mview {
@@ -55,15 +56,9 @@ struct MaintenanceOptions {
   /// entries are evicted past it at round boundaries.
   size_t join_cache_budget_bytes = size_t{256} << 20;
 
-  /// Split each maintenance round into this many hash partitions that can
-  /// be computed independently (see `PartitionLayout` for the keyed /
-  /// row-hash mode choice).  1 disables partitioning.  The merged delta is
-  /// byte-identical to the unpartitioned one (property-tested); bench E21
-  /// measures the split.  The join-cache budget is divided evenly among
-  /// the per-partition shards: in keyed mode each shard holds ~1/P of the
-  /// clean rows so the effective total is unchanged, while in row-hash
-  /// mode every shard mirrors the full clean tables and a large P can
-  /// force evictions a single shard would not need.
+  /// How many row-hash slices `SCRUB VIEW … PARTITION` walks through
+  /// `FullEvaluateSlice` (SQL `PARTITIONS n`), in [1, kMaxPartitions].
+  /// Maintenance ignores it: every round is one serial evaluation.
   uint32_t partition_count = 1;
 };
 
@@ -113,17 +108,6 @@ struct MaintenanceStats {
   int64_t batch_rows = 0;
   int64_t arena_bytes = 0;
   int64_t arena_high_water = 0;
-  // Partitioned maintenance (MaintenanceOptions::partition_count).  The
-  // first two are cumulative: partitions evaluated vs. skipped because
-  // their delta slice was empty.  The rows pair are per-round skew gauges
-  // (overwritten by every `Prepare`): total delta rows sliced and the
-  // largest single partition's share; `operator+=` sums the total and
-  // takes the max of the max, so the aggregate reports the worst skew
-  // across views.
-  int64_t partition_jobs = 0;
-  int64_t partitions_pruned = 0;
-  int64_t partition_rows_total = 0;
-  int64_t partition_rows_max = 0;
   PlanStats plan;
 
   MaintenanceStats& operator+=(const MaintenanceStats& other);
@@ -169,17 +153,16 @@ class DifferentialMaintainer {
   /// when enabled.  When `phases` is non-null, filter and differential time
   /// are accumulated into it separately.
   ///
-  /// When the join-state cache is enabled this runs one cache *round*:
+  /// One round is three steps: `Prepare` (the screen), `ComputePartition`
+  /// (the one evaluation), `FinalizeRoundStats` (the gauges).  When the
+  /// join-state cache is enabled the evaluation runs one cache *round*:
   /// entries are validated and synchronized with the effect's normalized
   /// deltas, so a steady-state call touches O(|delta|) cached rows instead
   /// of rehashing the clean bases.
   ///
-  /// Thread-safety: reads only the (frozen) database pre-state and mutates
-  /// only this maintainer's own join-state cache shard, so concurrent
-  /// calls for *different* maintainers are safe as long as no thread
-  /// mutates the database — the property the parallel commit pipeline
-  /// relies on (it runs at most one worker per view per commit).
-  /// Concurrent calls on the *same* maintainer are not safe.
+  /// Thread-safety: reads only the database pre-state and mutates only this
+  /// maintainer's cache and arena; concurrent calls on the same maintainer
+  /// are not safe.
   ///
   /// `cancel` (optional) threads a cooperative cancellation token into the
   /// evaluation loops; an expired deadline unwinds the round cleanly (the
@@ -190,63 +173,37 @@ class DifferentialMaintainer {
                          PhaseBreakdown* phases = nullptr,
                          const util::Cancellation* cancel = nullptr) const;
 
-  /// The partition-independent prefix of one maintenance round, produced
-  /// once per (view, transaction) by `Prepare` and consumed by one
-  /// `ComputePartition` call per partition.  Owns every filtered and
-  /// sliced relation its parts point into; the source effect must stay
-  /// alive (the cache-round slots reference its unfiltered deltas).
+  /// The screened inputs of one maintenance round, produced by `Prepare`
+  /// and consumed by `ComputePartition`.  Owns every filtered relation its
+  /// parts point into; the source effect must stay alive (the cache-round
+  /// slots reference its unfiltered deltas).
   struct PreparedDelta {
-    /// Screened full per-base parts (`subtract` = the unfiltered deletes).
+    /// Screened per-base parts (`subtract` = the unfiltered deletes).
     std::vector<BaseParts> parts;
-    /// `sliced[p][i]`: partition `p`'s hash slice of base `i`'s filtered
-    /// deltas (keyed mode: by the join-key attribute; row-hash mode: by
-    /// whole-tuple hash).  Empty when `partition_count() == 1`.
-    std::vector<std::vector<BaseParts>> sliced;
-    /// Whether partition `p` has any non-empty delta slice.  When no
-    /// partition does, partition 0 is marked active anyway so every round
-    /// performs (at least) one evaluation — the same fault-point and
-    /// cache-round cadence as unpartitioned maintenance.
-    std::vector<bool> active;
-    /// Join-cache round tokens built from the *unfiltered* deltas; every
-    /// shard replays them through its own partition filter.
+    /// Join-cache round tokens built from the *unfiltered* deltas (empty
+    /// when the cache is disabled).
     std::vector<JoinStateCache::SlotUpdate> slots;
-    bool use_cache = false;
     std::vector<std::unique_ptr<Relation>> owned;
   };
 
-  /// Runs the irrelevance screen and slices the surviving deltas by
-  /// partition — the serial O(|delta|) prologue of a round.  Accumulates
-  /// filter time/counters and the partition skew gauges.
+  /// Runs the irrelevance screen over the effect — the O(|delta|) prologue
+  /// of a round.  Accumulates filter time and counters.
   PreparedDelta Prepare(const TransactionEffect& effect,
                         MaintenanceStats* stats = nullptr,
                         PhaseBreakdown* phases = nullptr) const;
 
-  /// Evaluates partition `p` of a prepared round: opens a cache round on
-  /// shard `p`, evaluates the slice (or, when `p` is inactive, just
-  /// synchronizes the shard with the round's deltas so its entries stay
-  /// warm), and returns the partition's normalized delta.
-  ///
-  /// Thread-safety: calls for *distinct* partitions of the same prepared
-  /// round may run concurrently — each touches only its own shard and
-  /// arena and reads the frozen pre-state — provided each call gets its
-  /// own `stats`/`phases` (or null).  Two calls for the same partition
-  /// must not overlap.
+  /// Evaluates a prepared round: opens a cache round, runs the truth-table
+  /// rows (or telescoped terms), closes the round, and returns the
+  /// normalized view delta, whose insert/delete counts it adds to `stats`.
+  /// `p` must be 0: a round is one evaluation, and the argument stays only
+  /// so the frozen replica in e2ebench/ keeps compiling.
   ViewDelta ComputePartition(const PreparedDelta& prep, uint32_t p,
                              MaintenanceStats* stats = nullptr,
                              PhaseBreakdown* phases = nullptr,
                              const util::Cancellation* cancel = nullptr) const;
 
-  /// Sums per-partition deltas (signed multiplicities) and normalizes —
-  /// the merged delta is byte-identical to an unpartitioned evaluation.
-  /// Adds the merged delta's insert/delete counts to `stats`.
-  ViewDelta MergePartitions(std::vector<ViewDelta> slices,
-                            MaintenanceStats* stats = nullptr) const;
-
   /// Overwrites the per-round gauges (`cache_bytes`, `arena_bytes`,
-  /// `arena_high_water`) with the current totals across all partition
-  /// shards/arenas.  Called once after a round's partitions finish; the
-  /// per-partition `ComputePartition` calls leave gauges untouched so
-  /// merging their stats never double-counts.
+  /// `arena_high_water`) with the cache's and the arena's current values.
   void FinalizeRoundStats(MaintenanceStats* stats) const;
 
   /// Lower-level entry point used by deferred refresh: `parts[i]` describes
@@ -282,58 +239,38 @@ class DifferentialMaintainer {
   const Schema& output_schema() const { return plan_->output_schema(); }
   const MaintenanceOptions& options() const { return options_; }
 
-  /// The partition layout chosen for this view (count 1 = unpartitioned).
-  const PartitionLayout& partition_layout() const { return layout_; }
-  uint32_t partition_count() const { return layout_.count; }
-
-  /// The first join-state cache shard (null when disabled) — the whole
-  /// cache for unpartitioned views; tests and stats renderers that need
-  /// totals across shards use `join_cache_bytes()`.
-  const JoinStateCache* join_cache() const {
-    return shards_.empty() ? nullptr : shards_.front().get();
+  /// The number of scrub slices (`MaintenanceOptions::partition_count`,
+  /// at least 1).
+  uint32_t partition_count() const {
+    return std::max<uint32_t>(options_.partition_count, 1);
   }
 
-  /// Current bytes held across all partition shards.
-  size_t join_cache_bytes() const;
+  /// The view's join-state cache (null when disabled).
+  const JoinStateCache* join_cache() const { return cache_.get(); }
 
-  /// Discards every cached join table (fresh empty shard, same budget).
+  /// Discards every cached join table (fresh empty cache, same budget).
   /// Called when the view's materialization is rebuilt outside the normal
   /// delta path (quarantine/repair): the cached tables may mirror a state
   /// the failure left inconsistent, and a cold rebuild is always safe.
   void ResetJoinCache();
 
  private:
-  /// Evaluates one slice of a round.  `full` supplies the clean inputs
-  /// (with their subtract relations) and the deltas at non-anchoring join
-  /// positions; `anchor` supplies the delta at each truth-table row's /
-  /// telescoped term's *anchoring* position (the first non-clean choice).
-  /// Each row is linear in its anchor, so slicing only the anchor input
-  /// partitions the output exactly.  Keyed mode passes the same sliced
-  /// parts as both (and `slice_clean` selects `PartitionSliceInput` for
-  /// the clean side); unpartitioned rounds pass `parts` twice.
-  ViewDelta EvaluateSlice(const std::vector<BaseParts>& full,
-                          const std::vector<BaseParts>& anchor,
-                          bool slice_clean, uint32_t slice,
-                          JoinStateCache* shard, util::Arena* arena,
-                          MaintenanceStats* stats,
-                          const util::Cancellation* cancel = nullptr) const;
+  /// Evaluates the rows (or terms) of one round over `parts`; `cache`
+  /// (may be null) backs the clean inputs across rounds.
+  ViewDelta Evaluate(const std::vector<BaseParts>& parts,
+                     JoinStateCache* cache, MaintenanceStats* stats,
+                     const util::Cancellation* cancel = nullptr) const;
   void EnumerateRows(const std::vector<RelationInput*>& clean,
                      const std::vector<RelationInput*>& ins,
                      const std::vector<RelationInput*>& del,
-                     const std::vector<RelationInput*>& anchor_ins,
-                     const std::vector<RelationInput*>& anchor_del,
                      ViewDelta* delta, MaintenanceStats* stats,
                      PlannerCache* cache, const EvalContext* ctx) const;
 
   void EnumerateTelescoped(const std::vector<RelationInput*>& clean,
                            const std::vector<RelationInput*>& ins,
                            const std::vector<RelationInput*>& del,
-                           const std::vector<RelationInput*>& anchor_ins,
-                           const std::vector<RelationInput*>& anchor_del,
                            ViewDelta* delta, MaintenanceStats* stats,
                            PlannerCache* cache, const EvalContext* ctx) const;
-
-  void BuildShards();
 
   ViewDefinition def_;
   const Database* db_;
@@ -343,20 +280,15 @@ class DifferentialMaintainer {
   // representation the plan was compiled against.
   std::vector<Schema> aliased_;
   // The view's SPJ plan over `aliased_`, compiled once: every truth-table
-  // row, telescoped term and full evaluation executes it.  Immutable, so
-  // concurrent partitions share it.
+  // row, telescoped term and full evaluation executes it.
   std::optional<SpjPlan> plan_;
-  PartitionLayout layout_;
   std::unique_ptr<IrrelevanceFilter> filter_;
-  // One join-state cache shard per partition (empty when the cache is
-  // disabled); mutable because ComputeDelta is logically const yet
-  // advances the shards between rounds.  Shard `p` is touched only by
-  // partition `p`'s rounds — the basis of the partition-parallel contract.
-  mutable std::vector<std::unique_ptr<JoinStateCache>> shards_;
-  // Per-partition scratch memory for the batch pipeline, reset at the
-  // start of every slice evaluation; mutable and partition-confined like
-  // the shards.
-  mutable std::vector<std::unique_ptr<util::Arena>> arenas_;
+  // The join-state cache (null when disabled); mutable because
+  // ComputeDelta is logically const yet advances the cache between rounds.
+  mutable std::unique_ptr<JoinStateCache> cache_;
+  // Scratch memory for the batch pipeline, reset at the start of every
+  // evaluation.
+  mutable util::Arena arena_;
 };
 
 }  // namespace mview

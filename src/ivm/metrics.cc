@@ -93,10 +93,6 @@ std::string ViewMetrics::ToJson() const {
      << ", \"batch_rows\": " << stats.batch_rows
      << ", \"arena_bytes\": " << stats.arena_bytes
      << ", \"arena_high_water\": " << stats.arena_high_water
-     << ", \"partition_jobs\": " << stats.partition_jobs
-     << ", \"partitions_pruned\": " << stats.partitions_pruned
-     << ", \"partition_rows_total\": " << stats.partition_rows_total
-     << ", \"partition_rows_max\": " << stats.partition_rows_max
      << ", \"filter_nanos\": " << phases.filter_nanos
      << ", \"differential_nanos\": " << phases.differential_nanos
      << ", \"apply_nanos\": " << phases.apply_nanos
@@ -104,13 +100,6 @@ std::string ViewMetrics::ToJson() const {
      << ", \"filter_latency\": " << filter_latency.ToJson()
      << ", \"differential_latency\": " << differential_latency.ToJson()
      << ", \"apply_latency\": " << apply_latency.ToJson() << "}";
-  return os.str();
-}
-
-std::string PoolMetrics::ToJson() const {
-  std::ostringstream os;
-  os << "{\"workers\": " << workers << ", \"queue_depth\": " << queue_depth
-     << ", \"active_workers\": " << active_workers << "}";
   return os.str();
 }
 
@@ -211,7 +200,6 @@ std::string MetricsRegistry::ToJson() const {
      << ", \"snapshot_copies\": " << commit_.snapshot_copies
      << ", \"commit_latency\": " << commit_.commit_latency.ToJson()
      << ", \"storage\": " << storage_.ToJson()
-     << ", \"pool\": " << pool_.ToJson()
      << ", \"scrub\": " << scrub_.ToJson()
      << ", \"sessions\": " << sessions_.ToJson()
      << ", \"admission\": " << admission_.ToJson()

@@ -51,9 +51,8 @@ class SizeHistogram {
 /// work counters, the wall-clock phase breakdown of the commit pipeline,
 /// and the delta-size distribution.
 ///
-/// Owned by the `MetricsRegistry`; during a parallel commit each view's
-/// `ViewMetrics` is written only by the worker computing that view's delta,
-/// so no synchronization is needed.
+/// Owned by the `MetricsRegistry` and written only by the commit pipeline
+/// (under the engine's exclusive lock), so no synchronization is needed.
 struct ViewMetrics {
   MaintenanceStats stats;
   PhaseBreakdown phases;
@@ -85,19 +84,6 @@ struct CommitMetrics {
   obs::LatencyHistogram commit_latency;  // end-to-end ApplyEffect latency
 };
 
-/// Point-in-time ThreadPool gauges, refreshed by
-/// `ViewManager::SyncPoolMetrics()` before stats are rendered — the pool
-/// itself is sampled under its own mutex, this struct is just the last
-/// snapshot.
-struct PoolMetrics {
-  int64_t workers = 0;         // pool size (0 = serial maintenance)
-  int64_t queue_depth = 0;     // tasks queued, not yet picked up
-  int64_t active_workers = 0;  // tasks currently executing
-
-  /// `{"workers": …, "queue_depth": …, "active_workers": …}`.
-  std::string ToJson() const;
-};
-
 /// Durability-layer counters: WAL appends, group-commit batching, fsync
 /// latency, checkpoints, recovery replay.  Written only on the engine
 /// thread: the checkpoint/replay counters directly by `Storage`, and the
@@ -125,8 +111,8 @@ struct StorageMetrics {
 /// Session-scope counters: how many client sessions have existed and the
 /// combined work they did.  Refreshed by the engine (closed sessions'
 /// totals plus a sample of every live session) before stats are rendered,
-/// on the thread holding the engine's exclusive lock — like `PoolMetrics`
-/// this struct is just the last snapshot.  Surfaced under the "sessions"
+/// on the thread holding the engine's exclusive lock — this struct is
+/// just the last snapshot.  Surfaced under the "sessions"
 /// key of `SHOW STATS JSON` and the `mview_session_*` Prometheus families.
 struct SessionMetrics {
   int64_t opened = 0;  // sessions ever created (incl. the engine default)
@@ -141,8 +127,7 @@ struct SessionMetrics {
 /// Admission-control snapshot: per-lane admit/shed counters, in-flight
 /// gauges, and the current write-lane retry-after hint.  Refreshed by the
 /// engine from its `AdmissionController` (which is internally atomic)
-/// before stats are rendered — like `PoolMetrics` this struct is just the
-/// last snapshot.  Surfaced under the "admission" key of `SHOW STATS
+/// before stats are rendered — this struct is just the last snapshot.  Surfaced under the "admission" key of `SHOW STATS
 /// JSON`, `*`-scoped rows of the long format, and the `mview_admission_*`
 /// Prometheus families.
 struct AdmissionMetrics {
@@ -221,9 +206,6 @@ class MetricsRegistry {
   StorageMetrics& storage() { return storage_; }
   const StorageMetrics& storage() const { return storage_; }
 
-  PoolMetrics& pool() { return pool_; }
-  const PoolMetrics& pool() const { return pool_; }
-
   ScrubMetrics& scrub() { return scrub_; }
   const ScrubMetrics& scrub() const { return scrub_; }
 
@@ -246,7 +228,7 @@ class MetricsRegistry {
   /// The full registry as one JSON document:
   /// `{"commits": …, "normalize_nanos": …, "base_apply_nanos": …,
   ///   "epochs_published": …, "snapshot_reuses": …, "snapshot_copies": …,
-  ///   "commit_latency": {…}, "storage": {…}, "pool": {…}, "scrub": {…},
+  ///   "commit_latency": {…}, "storage": {…}, "scrub": {…},
   ///   "sessions": {…}, "admission": {…}, "dml": {…}, "global": {…},
   ///   "retired": {…},
   ///   "views": {"name": {…}, …}}`.
@@ -257,7 +239,6 @@ class MetricsRegistry {
   ViewMetrics retired_;
   CommitMetrics commit_;
   StorageMetrics storage_;
-  PoolMetrics pool_;
   ScrubMetrics scrub_;
   SessionMetrics sessions_;
   AdmissionMetrics admission_;

@@ -78,9 +78,8 @@ std::vector<std::string> EpochSnapshot::ViewNames() const {
   return names;
 }
 
-ViewManager::ViewManager(Database* db, size_t parallelism) : db_(db) {
+ViewManager::ViewManager(Database* db) : db_(db) {
   MVIEW_CHECK(db_ != nullptr, "null database");
-  SetParallelism(parallelism);
   PublishEpoch();  // epoch 0: no views yet, but Snapshot() is never null
 }
 
@@ -131,14 +130,6 @@ std::shared_ptr<CountedRelation> ViewManager::WritableBuffer(
   view->lag_delta.reset();
   ++metrics_.commit().snapshot_copies;
   return std::make_shared<CountedRelation>(*view->materialized);
-}
-
-void ViewManager::SetParallelism(size_t workers) {
-  if (workers == 0) {
-    pool_.reset();
-  } else if (pool_ == nullptr || pool_->num_workers() != workers) {
-    pool_ = std::make_unique<util::ThreadPool>(workers);
-  }
 }
 
 void ViewManager::RegisterView(ViewDefinition def, MaintenanceMode mode,
@@ -225,18 +216,6 @@ void ViewManager::DropView(const std::string& name) {
   PublishEpoch();
 }
 
-void ViewManager::SyncPoolMetrics() {
-  PoolMetrics& pm = metrics_.pool();
-  if (pool_ == nullptr) {
-    pm = PoolMetrics{};
-    return;
-  }
-  util::ThreadPool::Gauges g = pool_->gauges();
-  pm.workers = static_cast<int64_t>(g.workers);
-  pm.queue_depth = static_cast<int64_t>(g.queued);
-  pm.active_workers = static_cast<int64_t>(g.active);
-}
-
 void ViewManager::Apply(const Transaction& txn) {
   Stopwatch timer;
   TransactionEffect effect = txn.Normalize(*db_);
@@ -254,8 +233,8 @@ void ViewManager::ComputeJob(CommitJob* job, const TransactionEffect& effect,
   obs::TraceSpan span(view->span_name_id);
   Stopwatch timer;
   try {
-    // Fires before this view's delta is computed — the "worker blew up
-    // before producing anything" shape of maintenance failure.
+    // Fires before this view's delta is computed — the "maintenance blew
+    // up before producing anything" shape of failure.
     MVIEW_FAULT_POINT("viewmgr.differential.pre_apply");
     ComputeJobBody(job, effect, kDeltaRowsArg, span, cancel);
   } catch (...) {
@@ -304,81 +283,6 @@ void ViewManager::ComputeJobBody(CommitJob* job,
   }
 }
 
-void ViewManager::PreparePartitionedJob(CommitJob* job,
-                                        const TransactionEffect& effect) {
-  ManagedView* view = job->view;
-  ViewMetrics& m = *view->metrics;
-  ++m.stats.transactions;
-  Stopwatch timer;
-  try {
-    // Same fault point as the whole-view compute path: a partitioned view
-    // that blows up before producing anything fails here, serially, and
-    // degrades to an errored job the serial phase quarantines.
-    MVIEW_FAULT_POINT("viewmgr.differential.pre_apply");
-    const int64_t filter_before = m.phases.filter_nanos;
-    job->prep = std::make_unique<DifferentialMaintainer::PreparedDelta>(
-        view->maintainer->Prepare(effect, &m.stats, &m.phases));
-    m.filter_latency.Record(m.phases.filter_nanos - filter_before);
-    const uint32_t count = view->maintainer->partition_count();
-    job->part_deltas.resize(count);
-    job->part_stats.assign(count, MaintenanceStats{});
-    job->part_phases.assign(count, PhaseBreakdown{});
-    job->part_errors.assign(count, nullptr);
-    job->partitioned = true;
-  } catch (...) {
-    job->error = std::current_exception();
-    job->partitioned = false;
-    job->prep.reset();
-  }
-  m.stats.maintenance_nanos += timer.ElapsedNanos();
-}
-
-void ViewManager::MergePartitionedJob(CommitJob* job) {
-  static const uint32_t kDeltaRowsArg =
-      obs::Tracer::Global().InternName("delta_rows");
-  ManagedView* view = job->view;
-  ViewMetrics& m = *view->metrics;
-  Stopwatch timer;
-  for (const auto& err : job->part_errors) {
-    if (err != nullptr) {
-      // First failing partition wins; sibling slices are discarded — a
-      // partial delta must never be applied.
-      job->error = err;
-      break;
-    }
-  }
-  if (job->error != nullptr) {
-    job->delta.reset();
-    m.stats.maintenance_nanos += timer.ElapsedNanos();
-    return;
-  }
-  const int64_t differential_before = m.phases.differential_nanos;
-  std::vector<ViewDelta> slices;
-  slices.reserve(job->part_deltas.size());
-  for (size_t p = 0; p < job->part_deltas.size(); ++p) {
-    // Per-partition stats hold only counters and timers (the workers leave
-    // gauges untouched), so summing them never double-counts.
-    m.stats += job->part_stats[p];
-    m.phases += job->part_phases[p];
-    if (job->part_deltas[p] != nullptr) {
-      slices.push_back(std::move(*job->part_deltas[p]));
-    }
-  }
-  ViewDelta merged =
-      view->maintainer->MergePartitions(std::move(slices), &m.stats);
-  view->maintainer->FinalizeRoundStats(&m.stats);
-  m.differential_latency.Record(m.phases.differential_nanos -
-                                differential_before);
-  if (merged.Empty()) {
-    ++m.stats.skipped_irrelevant;
-  } else {
-    obs::TraceSpan span(view->span_name_id);
-    span.SetArg(kDeltaRowsArg, merged.TotalCount());
-    job->delta = std::make_unique<ViewDelta>(std::move(merged));
-  }
-  m.stats.maintenance_nanos += timer.ElapsedNanos();
-}
-
 struct ViewManager::PreparedCommit::Impl {
   std::vector<CommitJob> jobs;
   int64_t prepare_nanos = 0;  // folded into the commit-latency record
@@ -412,84 +316,21 @@ ViewManager::PreparedCommit ViewManager::PrepareCommit(
 
   // Phase 2 (after the caller's phase-1 normalize): per affected view,
   // filter + differential against the immutable pre-state (assumption (a)
-  // of Section 5: base-relation contents before the transaction).  The
-  // jobs only read the database and only write their own view's state, so
-  // they fan out across the pool when one is configured.  Quarantined
-  // views are skipped: their materialization is untrusted, so a delta
-  // against it is meaningless — repair recomputes from the bases.
-  // Deferred views get a job slot but compute nothing here: their logging
-  // mutates the backlog, so it runs in `CommitPrepared` only.
+  // of Section 5: base-relation contents before the transaction), one view
+  // after another in name order.  Quarantined views are skipped: their
+  // materialization is untrusted, so a delta against it is meaningless —
+  // repair recomputes from the bases.  Deferred views get a job slot but
+  // compute nothing here: their logging mutates the backlog, so it runs in
+  // `CommitPrepared` only.
   std::vector<CommitJob>& jobs = prepared.impl_->jobs;
   for (auto& [name, view] : views_) {
     if (view->quarantined) continue;
     if (!view->maintainer->AffectedBy(effect)) continue;
     jobs.emplace_back();
     jobs.back().view = view.get();
-  }
-
-  // Partitioned views (immediate mode, partition_count > 1, pool present)
-  // run their serial prologue now: screen + hash-slice the deltas so the
-  // barrier below can fan one worker per (view, partition).  Without a
-  // pool the partition split buys nothing, so such views take the plain
-  // single-worker path and produce identical bytes.
-  bool any_partitioned = false;
-  for (auto& job : jobs) {
-    ManagedView* view = job.view;
-    if (pool_ == nullptr || view->mode != MaintenanceMode::kImmediate ||
-        view->maintainer->partition_count() <= 1) {
-      continue;
+    if (view->mode != MaintenanceMode::kDeferred) {
+      ComputeJob(&jobs.back(), effect, cancel);
     }
-    PreparePartitionedJob(&job, effect);
-    any_partitioned |= job.partitioned;
-  }
-
-  // One flat barrier: per-partition slices of partitioned views alongside
-  // whole-view jobs.  The pool has no nested-submit support, so the
-  // coordinator owns all fan-out; every worker writes only its own slot.
-  if (pool_ != nullptr && (jobs.size() > 1 || any_partitioned)) {
-    for (auto& job : jobs) {
-      if (job.partitioned) {
-        const uint32_t count = job.view->maintainer->partition_count();
-        for (uint32_t p = 0; p < count; ++p) {
-          CommitJob* j = &job;
-          pool_->Submit([j, p, cancel] {
-            Stopwatch timer;
-            obs::TraceSpan span(j->view->span_name_id);
-            try {
-              ViewDelta slice = j->view->maintainer->ComputePartition(
-                  *j->prep, p, &j->part_stats[p], &j->part_phases[p], cancel);
-              if (!slice.Empty()) {
-                j->part_deltas[p] =
-                    std::make_unique<ViewDelta>(std::move(slice));
-              }
-            } catch (...) {
-              j->part_errors[p] = std::current_exception();
-            }
-            j->part_stats[p].maintenance_nanos += timer.ElapsedNanos();
-          });
-        }
-      } else if (job.error == nullptr &&
-                 job.view->mode != MaintenanceMode::kDeferred) {
-        pool_->Submit(
-            [this, &job, &effect, cancel] { ComputeJob(&job, effect, cancel); });
-      }
-    }
-    // Workers capture their own failures into the job, so WaitAll returns
-    // normally even when a view's maintenance blew up.
-    pool_->WaitAll();
-  } else {
-    for (auto& job : jobs) {
-      if (job.error == nullptr && !job.partitioned &&
-          job.view->mode != MaintenanceMode::kDeferred) {
-        ComputeJob(&job, effect, cancel);
-      }
-    }
-  }
-
-  // Serial epilogue for partitioned jobs: fold slices into one delta per
-  // view (name order again — `jobs` follows the sorted map).
-  for (auto& job : jobs) {
-    if (job.partitioned) MergePartitionedJob(&job);
   }
 
   // A deadline that expired inside any view's compute aborts the whole

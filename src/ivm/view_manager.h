@@ -16,7 +16,6 @@
 #include "ivm/metrics.h"
 #include "ivm/snapshot.h"
 #include "ivm/view_def.h"
-#include "util/thread_pool.h"
 
 namespace mview {
 
@@ -131,25 +130,17 @@ class EpochSnapshot {
 /// the pre-state; the effect is applied to the base relations; finally the
 /// view deltas are applied to the materializations.
 ///
-/// The per-view phase is read-only against the database and independent
-/// across views, so `SetParallelism` can fan it out over a `ThreadPool`;
-/// views with a partition layout (`MaintenanceOptions::partition_count`)
-/// additionally fan out *within* the view — the coordinator prepares the
-/// round serially (screen + hash slicing), one worker evaluates each
-/// partition against its own cache shard and arena, and a serial merge
-/// folds the per-partition deltas.  Deltas are still applied serially in
-/// name order, so view contents are bit-identical to the serial pipeline
-/// regardless of worker count or partition count (see DESIGN.md, "Commit
-/// pipeline").  Each view's maintainer owns private per-partition
-/// `JoinStateCache` shards, and the pipeline runs at most one worker per
-/// (view, partition) per commit, so the shards need no locking; DDL
+/// The per-view phase is read-only against the database, so every view's
+/// delta is computed against the same pre-state; views are maintained one
+/// after another in name order, each by one evaluation over its own
+/// `JoinStateCache` (see DESIGN.md, "Commit pipeline").  DDL
 /// (`DropView`/`RegisterView`/`RestoreView`) replaces the maintainer and
-/// its shards wholesale, which is how cached state is invalidated.
+/// its cache wholesale, which is how cached state is invalidated.
 ///
 /// Failure containment: an exception inside one view's maintenance does
 /// not poison the commit.  The failing view is *quarantined* — its
 /// materialization is marked untrusted, reads throw
-/// `ViewQuarantinedError`, and its join-cache shard is dropped — while the
+/// `ViewQuarantinedError`, and its join-state cache is dropped — while the
 /// base relations and every sibling view commit normally.  A transient
 /// failure (`IoError`) retries automatically with exponential backoff
 /// measured in commits; anything else (corruption, logic errors, OOM) is
@@ -169,26 +160,16 @@ class EpochSnapshot {
 /// steady-state publication does not copy materializations (see DESIGN.md,
 /// "Sessions, epochs, and the server").
 ///
-/// Apart from `Snapshot()`, the manager is not itself thread-safe: one
-/// thread (or an external lock) drives `Apply` and the accessors.
-/// Parallelism is internal to a single commit.
+/// Apart from `Snapshot()`, the manager is not thread-safe: one thread
+/// (or an external lock) drives `Apply` and the accessors.
 class ViewManager {
  public:
   /// The manager maintains views over `db`; base relations must be created
-  /// before views referencing them.  `parallelism` is the number of worker
-  /// threads for the per-view commit phase; 0 (the default) runs it inline
-  /// on the calling thread.
-  explicit ViewManager(Database* db, size_t parallelism = 0);
+  /// before views referencing them.
+  explicit ViewManager(Database* db);
 
   ViewManager(const ViewManager&) = delete;
   ViewManager& operator=(const ViewManager&) = delete;
-
-  /// Resizes the worker pool; 0 reverts to the serial pipeline.  Must not
-  /// be called from inside a maintenance task.
-  void SetParallelism(size_t workers);
-  size_t parallelism() const {
-    return pool_ == nullptr ? 0 : pool_->num_workers();
-  }
 
   /// Registers a view, creates hash indexes on its equi-join attributes,
   /// and materializes it from the current database state.  Throws when the
@@ -212,8 +193,8 @@ class ViewManager {
   /// deltas, produced by `PrepareCommit` and consumed exactly once by
   /// `CommitPrepared`.  Destroying an uncommitted handle abandons the
   /// round with no observable effect — bases, materializations, and the
-  /// deferred backlogs are exactly as if the commit never started (cache
-  /// shards may go cold but never wrong; see `PrepareCommit`).
+  /// deferred backlogs are exactly as if the commit never started (caches
+  /// may go cold but never wrong; see `PrepareCommit`).
   class PreparedCommit {
    public:
     PreparedCommit();
@@ -228,8 +209,7 @@ class ViewManager {
   };
 
   /// Runs the cancellable prefix of a commit: transient-quarantine retries
-  /// against the pre-state, then per-view differential computation (fanned
-  /// out over the pool and partitions exactly like `ApplyEffect`).  Nothing
+  /// against the pre-state, then per-view differential computation.  Nothing
   /// observable is mutated — bases, materializations, and deferred
   /// backlogs are untouched until `CommitPrepared`, so the caller may
   /// abandon the result (deadline expired, WAL append failed) at no cost.
@@ -292,7 +272,7 @@ class ViewManager {
 
   /// Marks a view's materialization as untrusted.  `reason` is surfaced by
   /// `Describe`/reads; `sticky` disables the automatic transient retry.
-  /// Drops the view's join-cache shard and its deferred backlog (a repair
+  /// Drops the view's join-state cache and its deferred backlog (a repair
   /// recomputes from the bases, so the backlog is dead weight).  Publishes
   /// a `kQuarantine` health event.  Idempotent escalation: quarantining an
   /// already-quarantined view updates the reason and may raise (never
@@ -306,7 +286,7 @@ class ViewManager {
   /// evaluated twice and the results compared byte-for-byte before
   /// installation, so a fault that corrupts evaluation itself cannot
   /// "heal" a view into a wrong state.  Clears quarantine and the deferred
-  /// backlog, resets the join-cache shard, and publishes a `kRepair`
+  /// backlog, resets the join-state cache, and publishes a `kRepair`
   /// event.  Works on healthy views too (re-verification).  Throws —
   /// leaving the view quarantined — when evaluation fails or the double
   /// evaluation disagrees.
@@ -336,11 +316,6 @@ class ViewManager {
   /// JSON` prints.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Refreshes `metrics().pool()` with the thread pool's current gauges
-  /// (size, queue depth, active workers).  Called before stats are
-  /// rendered; samples under the pool's mutex.
-  void SyncPoolMetrics();
 
   /// Installs a view with an exact previously-captured state instead of
   /// evaluating it: `materialized` becomes the view's contents verbatim and
@@ -397,46 +372,26 @@ class ViewManager {
     int64_t next_retry_commit = 0;
   };
 
-  /// One view's slot in a commit: filled by the (possibly parallel)
-  /// compute phase, consumed by the serial apply phase.
+  /// One view's slot in a commit: filled by the compute phase, consumed by
+  /// the apply phase.
   struct CommitJob {
     ManagedView* view = nullptr;
     std::unique_ptr<ViewDelta> delta;  // null: nothing to apply
     // A compute-phase failure, captured instead of propagated so one
     // view's fault cannot abort the commit for its siblings.
     std::exception_ptr error;
-    // Intra-view partition fan-out (immediate views with a partition
-    // layout, on a pool): the coordinator runs `Prepare` serially, the
-    // barrier runs one `ComputePartition` per partition — each writing
-    // its own slot below so workers never share state — and the serial
-    // merge folds the slots into `delta` and the view's metrics.
-    bool partitioned = false;
-    std::unique_ptr<DifferentialMaintainer::PreparedDelta> prep;
-    std::vector<std::unique_ptr<ViewDelta>> part_deltas;
-    std::vector<MaintenanceStats> part_stats;
-    std::vector<PhaseBreakdown> part_phases;
-    std::vector<std::exception_ptr> part_errors;
   };
 
   ManagedView& GetView(const std::string& name);
   const ManagedView& GetView(const std::string& name) const;
   /// Phase-2 body for one view: filter + differential (immediate), log
-  /// (deferred).  Reads only the frozen pre-state; writes only this view's
-  /// state, metrics, and join-state cache shard, so jobs are safe to run
-  /// concurrently.
+  /// (deferred).  Reads only the pre-state; writes only this view's
+  /// state, metrics, and join-state cache.
   void ComputeJob(CommitJob* job, const TransactionEffect& effect,
                   const util::Cancellation* cancel = nullptr);
   void ComputeJobBody(CommitJob* job, const TransactionEffect& effect,
                       uint32_t delta_rows_arg, obs::TraceSpan& span,
                       const util::Cancellation* cancel);
-  /// Serial prologue of a partitioned job: runs the view's `Prepare` and
-  /// sizes the per-partition slots.  On failure the error is captured and
-  /// the job degrades to unpartitioned-with-error (quarantined in the
-  /// serial phase).
-  void PreparePartitionedJob(CommitJob* job, const TransactionEffect& effect);
-  /// Serial epilogue: folds per-partition deltas/stats/errors into the
-  /// job's `delta` and the view's metrics.
-  void MergePartitionedJob(CommitJob* job);
   void LogDeferred(ManagedView* view, const TransactionEffect& effect);
   void RefreshView(const std::string& name, ManagedView* view);
   /// Quarantines `view` for the failure captured in `error` (transient
@@ -486,7 +441,6 @@ class ViewManager {
   Database* db_;
   std::map<std::string, std::unique_ptr<ManagedView>> views_;
   MetricsRegistry metrics_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::function<void(const ViewHealthEvent&)> health_listener_;
   int64_t commit_seq_ = 0;  // commits seen; the backoff clock
   // The latest published epoch (never null after construction) and the

@@ -94,7 +94,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   std::ostringstream os;
   const CommitMetrics& commit = registry.commit();
   const StorageMetrics& storage = registry.storage();
-  const PoolMetrics& pool = registry.pool();
 
   Family(os, "mview_commits_total", "counter",
          "Non-empty transaction effects applied")
@@ -117,16 +116,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   Family(os, "mview_snapshot_copies_total", "counter",
          "Commits that cloned the published view buffer (reader pinned it)")
       .Sample("", commit.snapshot_copies);
-
-  Family pool_workers(os, "mview_pool_workers", "gauge",
-                      "Maintenance thread-pool size");
-  pool_workers.Sample("", pool.workers);
-  Family pool_queue(os, "mview_pool_queue_depth", "gauge",
-                    "Maintenance tasks queued, not yet running");
-  pool_queue.Sample("", pool.queue_depth);
-  Family pool_active(os, "mview_pool_active_workers", "gauge",
-                     "Maintenance tasks currently executing");
-  pool_active.Sample("", pool.active_workers);
 
   Family(os, "mview_wal_appends_total", "counter",
          "WAL records made durable")
@@ -189,12 +178,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
       {"mview_view_batch_rows_total",
        "Rows carried through the batch evaluation pipeline",
        [](const ViewMetrics& m) { return m.stats.batch_rows; }},
-      {"mview_view_partition_jobs_total",
-       "Maintenance partitions evaluated",
-       [](const ViewMetrics& m) { return m.stats.partition_jobs; }},
-      {"mview_view_partitions_pruned_total",
-       "Maintenance partitions skipped for an empty delta slice",
-       [](const ViewMetrics& m) { return m.stats.partitions_pruned; }},
       {"mview_view_quarantines_total",
        "Maintenance failures that quarantined the view",
        [](const ViewMetrics& m) { return m.stats.quarantines; }},
@@ -223,18 +206,6 @@ std::string ExportPrometheus(const MetricsRegistry& registry) {
   for (const std::string& view : views) {
     arena_hw.Sample(ViewLabel(view),
                     registry.Find(view)->stats.arena_high_water);
-  }
-  Family part_rows(os, "mview_view_partition_delta_rows", "gauge",
-                   "Delta rows sliced across partitions in the last round");
-  for (const std::string& view : views) {
-    part_rows.Sample(ViewLabel(view),
-                     registry.Find(view)->stats.partition_rows_total);
-  }
-  Family part_max(os, "mview_view_partition_delta_rows_max", "gauge",
-                  "Largest single partition's delta-row share, last round");
-  for (const std::string& view : views) {
-    part_max.Sample(ViewLabel(view),
-                    registry.Find(view)->stats.partition_rows_max);
   }
 
   std::vector<std::pair<std::string, const LatencyHistogram*>> filter_series,

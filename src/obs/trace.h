@@ -64,12 +64,12 @@ class Tracer {
   uint32_t InternName(const std::string& name);
 
   /// Records one completed span into the calling thread's ring buffer.
-  /// Lock-free; safe from any thread, including WAL leader and pool
-  /// workers.  `arg_name_id` 0 means no argument.
+  /// Lock-free; safe from any thread, including WAL leader and session
+  /// threads.  `arg_name_id` 0 means no argument.
   void Record(uint32_t name_id, int64_t start_nanos, int64_t dur_nanos,
               uint32_t arg_name_id = 0, int64_t arg = 0);
 
-  /// Labels the calling thread in exports ("engine", "pool-worker-3", …).
+  /// Labels the calling thread in exports ("engine", …).
   /// Idempotent; takes the registry mutex.
   void SetCurrentThreadName(const std::string& name);
 

@@ -140,40 +140,31 @@ void ConcatRelationInput::ProbeEqual(size_t attr, const Value& key,
 }
 
 PartitionSliceInput::PartitionSliceInput(const Relation* relation,
-                                         Schema schema, const Relation* minus,
-                                         size_t key_attr, uint32_t slice,
+                                         Schema schema, uint32_t slice,
                                          uint32_t total)
     : relation_(relation),
-      minus_(minus),
       schema_(std::move(schema)),
-      key_attr_(key_attr),
       slice_(slice),
       total_(total) {
   MVIEW_CHECK(relation_ != nullptr, "null relation");
   MVIEW_CHECK(schema_.size() == relation_->schema().size(),
               "alias scheme arity mismatch");
   MVIEW_CHECK(total_ >= 1 && slice_ < total_, "partition slice out of range");
-  MVIEW_CHECK(key_attr_ == kRowHashKey || key_attr_ < schema_.size(),
-              "partition key attribute out of range");
 }
 
 bool PartitionSliceInput::InSlice(const Tuple& t) const {
-  return PartitionOf(t, key_attr_, total_) == slice_;
+  return PartitionOf(t, total_) == slice_;
 }
 
 size_t PartitionSliceInput::SizeHint() const {
-  size_t r = relation_->size();
-  size_t m = minus_ != nullptr ? minus_->size() : 0;
   // An estimate (the heuristic consumer only ranks inputs): an even share
-  // of the surviving rows, rounded up so a non-empty slice never claims 0.
-  return (r > m ? r - m : 0) / total_ + 1;
+  // of the rows, rounded up so a non-empty slice never claims 0.
+  return relation_->size() / total_ + 1;
 }
 
 void PartitionSliceInput::Scan(DeltaSink& sink) const {
   relation_->Scan([&](const Tuple& t) {
-    if (!InSlice(t)) return;
-    if (minus_ != nullptr && minus_->Contains(t)) return;
-    sink.Emit(t, 1);
+    if (InSlice(t)) sink.Emit(t, 1);
   });
 }
 
@@ -186,9 +177,7 @@ void PartitionSliceInput::ProbeEqual(size_t attr, const Value& key,
   const auto* hits = relation_->Probe(attr, key);
   if (hits == nullptr) return;
   for (const Tuple* t : *hits) {
-    if (!InSlice(*t)) continue;
-    if (minus_ != nullptr && minus_->Contains(*t)) continue;
-    sink.Emit(*t, 1);
+    if (InSlice(*t)) sink.Emit(*t, 1);
   }
 }
 

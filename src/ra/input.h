@@ -181,20 +181,15 @@ class ConcatRelationInput : public RelationInput {
   const RelationInput* second_;
 };
 
-/// One hash partition of `(relation − minus)`: streams the tuples whose
-/// partition (hash of the attribute at `key_attr`, or of the whole tuple
-/// for `kRowHashKey`, modulo `total`) equals `slice`.
-///
-/// This is the clean input of keyed co-partitioned maintenance — each
-/// partition's evaluation sees only its 1/P slice of the base — and the
-/// scrubber's partition-at-a-time full evaluation (which slices base 0 by
-/// row hash; any disjoint decomposition of one input partitions the join's
-/// output, by linearity).  `minus` may be null.  Index probes delegate to
-/// the underlying relation and filter by partition and `minus`.
+/// One row-hash slice of `relation`: streams the tuples whose whole-tuple
+/// hash modulo `total` equals `slice` (see `PartitionOf`).  This is the
+/// scrubber's partition-at-a-time full evaluation, which slices base 0:
+/// any disjoint decomposition of one input partitions the join's output,
+/// by linearity.  Index probes delegate to the underlying relation and
+/// filter by slice.
 class PartitionSliceInput : public RelationInput {
  public:
-  PartitionSliceInput(const Relation* relation, Schema schema,
-                      const Relation* minus, size_t key_attr, uint32_t slice,
+  PartitionSliceInput(const Relation* relation, Schema schema, uint32_t slice,
                       uint32_t total);
 
   const Schema& schema() const override { return schema_; }
@@ -208,9 +203,7 @@ class PartitionSliceInput : public RelationInput {
   bool InSlice(const Tuple& t) const;
 
   const Relation* relation_;
-  const Relation* minus_;  // may be null
   Schema schema_;
-  size_t key_attr_;
   uint32_t slice_;
   uint32_t total_;
 };

@@ -2,18 +2,10 @@
 
 #include <algorithm>
 
-#include "relational/partition.h"
 #include "util/error.h"
 #include "util/fault.h"
 
 namespace mview {
-
-bool JoinStateCache::InPartition(uint32_t slot, const Tuple& tuple) const {
-  if (spec_.total <= 1) return true;
-  if (slot >= spec_.slot_key_attr.size()) return true;
-  return PartitionOf(tuple, spec_.slot_key_attr[slot], spec_.total) ==
-         spec_.slice;
-}
 
 size_t JoinStateCache::ApproxRowBytes(const Tuple& tuple) {
   // One copy in Table::rows plus (roughly) one key copy in the hash index
@@ -56,12 +48,7 @@ void JoinStateCache::BeginRound(std::vector<SlotUpdate> slots) {
     // `r − d` the planner's clean inputs stream.
     if (current->deletes != nullptr && !current->deletes->empty()) {
       entry.inround = true;
-      // The partition filter here is an optimization only: RemoveRow
-      // tolerates absent rows, and an out-of-partition tuple was never
-      // added.  The EndRound insert filter is load-bearing.
-      current->deletes->Scan([&](const Tuple& t) {
-        if (InPartition(slot, t)) RemoveRow(&entry, t);
-      });
+      current->deletes->Scan([&](const Tuple& t) { RemoveRow(&entry, t); });
     } else if (current->inserts != nullptr && !current->inserts->empty()) {
       entry.inround = true;  // inserts pending at EndRound
     }
@@ -76,12 +63,7 @@ void JoinStateCache::EndRound() {
     if (!entry.inround) continue;
     const SlotUpdate& slot = slots_[key.first];
     if (slot.inserts != nullptr) {
-      // A partitioned shard must not absorb another shard's rows: AddRow
-      // only sees the entry's local filters, so the partition membership
-      // check here is required for correctness.
-      slot.inserts->Scan([&](const Tuple& t) {
-        if (InPartition(key.first, t)) AddRow(&entry, t);
-      });
+      slot.inserts->Scan([&](const Tuple& t) { AddRow(&entry, t); });
     }
     // Normalized effects satisfy deletes ⊆ r and inserts ∩ r = ∅, so every
     // applied tuple bumps the relation's version exactly once.

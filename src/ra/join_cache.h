@@ -63,9 +63,8 @@ struct JoinCacheCounters {
 /// A round that never reaches `EndRound` (a failed commit) leaves its
 /// touched entries marked in-round; the next `BeginRound` discards them.
 ///
-/// Thread-safety: none.  Each `DifferentialMaintainer` owns its shards —
-/// one per maintenance partition — and the commit pipeline runs at most
-/// one worker per (view, partition) per commit, so entries are never
+/// Thread-safety: none.  Each `DifferentialMaintainer` owns one cache and
+/// the commit pipeline maintains views serially, so entries are never
 /// shared between threads.
 class JoinStateCache {
  public:
@@ -77,25 +76,7 @@ class JoinStateCache {
     const Relation* inserts = nullptr;  // normalized, unfiltered; may be null
   };
 
-  /// Restricts a shard to one hash partition of keyed co-partitioned
-  /// maintenance: entries hold only the rows whose slot key attribute
-  /// hashes to `slice` (of `total`), and the round protocol filters the
-  /// replayed deletes/inserts the same way.  The version stamp still uses
-  /// the *full* delta sizes — it predicts the relation's post-commit
-  /// version, which advances by every applied tuple regardless of
-  /// partition.  The default spec (`total == 1`) means no filtering.
-  struct PartitionSpec {
-    uint32_t slice = 0;
-    uint32_t total = 1;
-    /// Per base-occurrence slot: the partition-key attribute index in the
-    /// base's scheme (`kRowHashKey` for whole-tuple hashing).  May be
-    /// empty when `total == 1`.
-    std::vector<size_t> slot_key_attr;
-  };
-
   explicit JoinStateCache(size_t budget_bytes) : budget_bytes_(budget_bytes) {}
-  JoinStateCache(size_t budget_bytes, PartitionSpec spec)
-      : budget_bytes_(budget_bytes), spec_(std::move(spec)) {}
 
   JoinStateCache(const JoinStateCache&) = delete;
   JoinStateCache& operator=(const JoinStateCache&) = delete;
@@ -172,11 +153,7 @@ class JoinStateCache {
   void EvictToBudget(const Entry* keep);
   static size_t ApproxRowBytes(const Tuple& tuple);
 
-  /// True when `tuple` belongs to this shard's partition for `slot`.
-  bool InPartition(uint32_t slot, const Tuple& tuple) const;
-
   size_t budget_bytes_;
-  PartitionSpec spec_;
   std::map<Key, std::unique_ptr<Entry>> entries_;
   std::vector<SlotUpdate> slots_;
   bool round_active_ = false;

@@ -134,8 +134,7 @@ struct EvalContext {
 /// of one view) pays for name resolution once.
 ///
 /// The plan is immutable after construction: several executions may run
-/// concurrently over distinct inputs (the partition workers of one view
-/// share their maintainer's plan).  Per-execution state — join order,
+/// concurrently over distinct inputs.  Per-execution state — join order,
 /// bound set, step-filter placement — lives in the executor.
 class SpjPlan {
  public:

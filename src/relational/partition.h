@@ -1,27 +1,24 @@
 #ifndef MVIEW_RELATIONAL_PARTITION_H_
 #define MVIEW_RELATIONAL_PARTITION_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "relational/tuple.h"
 
 namespace mview {
 
-/// Sentinel partition key meaning "hash the whole tuple" — the row-hash
-/// fallback used when no join/equality attribute co-partitions a view's
-/// bases, and the slicing key of partition-at-a-time scrub.
-inline constexpr size_t kRowHashKey = static_cast<size_t>(-1);
+/// The largest partition count a view may carry (`PARTITIONS n` in SQL,
+/// `MaintenanceOptions::partition_count` in a checkpoint image).  The SQL
+/// parser and the checkpoint decoder both reject counts outside
+/// [1, kMaxPartitions].
+inline constexpr uint32_t kMaxPartitions = 4096;
 
-/// The partition of `tuple` among `count` hash partitions: the stable hash
-/// of the attribute at `key_attr` (or of the whole tuple for `kRowHashKey`)
-/// modulo `count`.  Stable across processes — see `Value::StableHash`.
-inline uint32_t PartitionOf(const Tuple& tuple, size_t key_attr,
-                            uint32_t count) {
+/// The row-hash slice of `tuple` among `count` slices: the stable
+/// whole-tuple hash modulo `count`.  Stable across processes — see
+/// `Value::StableHash`.
+inline uint32_t PartitionOf(const Tuple& tuple, uint32_t count) {
   if (count <= 1) return 0;
-  const uint64_t h = key_attr == kRowHashKey ? tuple.StableHash()
-                                             : tuple.at(key_attr).StableHash();
-  return static_cast<uint32_t>(h % count);
+  return static_cast<uint32_t>(tuple.StableHash() % count);
 }
 
 }  // namespace mview

@@ -693,11 +693,6 @@ void EngineCore::NoteCatalogChange() {
   if (storage_ != nullptr) storage_->OnCatalogChange();
 }
 
-void EngineCore::SetMaintenanceParallelism(size_t workers) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  views_.SetParallelism(workers);
-}
-
 void EngineCore::SetAdmissionControl(
     util::AdmissionController::Options options) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -745,7 +740,6 @@ void EngineCore::DumpTrace(const std::string& path) const {
 std::string EngineCore::ExportMetricsText() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (storage_ != nullptr) storage_->SyncWalMetrics();
-  views_.SyncPoolMetrics();
   SyncSessionMetrics();
   SyncAdmissionMetrics();
   SyncDmlMetrics();
@@ -901,46 +895,23 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       return RowsResult(std::move(schema), std::move(rows));
     }
     case Kind::kShowPartitions: {
+      // A view's partition count is the number of row-hash slices
+      // `SCRUB VIEW … PARTITION` walks; maintenance is one evaluation.
       Schema schema({{"view", ValueType::kString},
-                     {"partitions", ValueType::kInt64},
-                     {"mode", ValueType::kString},
-                     {"key", ValueType::kString},
-                     {"partition_jobs", ValueType::kInt64},
-                     {"partitions_pruned", ValueType::kInt64}});
+                     {"partitions", ValueType::kInt64}});
       std::vector<std::pair<Tuple, int64_t>> rows;
       for (const auto& name : views_.ViewNames()) {
-        const DifferentialMaintainer& m = views_.Maintainer(name);
-        const PartitionLayout& layout = m.partition_layout();
-        const std::string mode = layout.count <= 1 ? "none"
-                                 : layout.keyed    ? "keyed"
-                                                   : "row-hash";
-        // Keyed layouts co-partition on one equality class; name its
-        // base-0 member (the deterministic representative the planner
-        // picked).  Row-hash layouts have no key attribute.
-        std::string key = "-";
-        if (layout.keyed && !layout.key_attr.empty()) {
-          key = m.definition()
-                    .AliasedSchema(db_, 0)
-                    .attribute(layout.key_attr[0])
-                    .name;
-        }
-        const ViewMetrics* vm = views_.metrics().Find(name);
-        const int64_t jobs = vm == nullptr ? 0 : vm->stats.partition_jobs;
-        const int64_t pruned =
-            vm == nullptr ? 0 : vm->stats.partitions_pruned;
+        const uint32_t count = views_.Maintainer(name).partition_count();
         rows.emplace_back(
-            Tuple({Value(name), Value(static_cast<int64_t>(layout.count)),
-                   Value(mode), Value(key), Value(jobs), Value(pruned)}),
-            1);
+            Tuple({Value(name), Value(static_cast<int64_t>(count))}), 1);
       }
       return RowsResult(std::move(schema), std::move(rows));
     }
     case Kind::kShowStats: {
       // Pull the WAL's counters (written behind its mutex by commit
-      // leaders), the pool gauges, and the session totals into the
-      // registry as one coherent snapshot first.
+      // leaders) and the session totals into the registry as one coherent
+      // snapshot first.
       if (storage_ != nullptr) storage_->SyncWalMetrics();
-      views_.SyncPoolMetrics();
       SyncSessionMetrics();
       SyncAdmissionMetrics();
       SyncDmlMetrics();
@@ -993,10 +964,6 @@ Result EngineCore::ExecuteStatement(const Statement& stmt,
       emit("*", "checkpoint_nanos", storage.checkpoint_nanos);
       emit("*", "replayed_records", storage.replayed_records);
       emit("*", "max_commit_batch", storage.batch_commits.max_sample());
-      const PoolMetrics& pool = registry.pool();
-      emit("*", "pool_workers", pool.workers);
-      emit("*", "pool_queue_depth", pool.queue_depth);
-      emit("*", "pool_active_workers", pool.active_workers);
       const SessionMetrics& sessions = registry.sessions();
       emit("*", "sessions_opened", sessions.opened);
       emit("*", "sessions_closed", sessions.closed);

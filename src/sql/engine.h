@@ -118,18 +118,10 @@ class EngineCore {
   const ViewManager& views() const { return views_; }
   const IntegrityGuard& guard() const { return guard_; }
 
-  /// Sets the number of maintenance worker threads the commit pipeline
-  /// fans view maintenance over (0 = serial).  A startup/configuration
-  /// knob: takes the engine lock exclusively, so it is safe against
-  /// concurrent statements, but resizing the pool mid-load stalls commits
-  /// while workers drain.
-  void SetMaintenanceParallelism(size_t workers);
-
   /// Configures admission control (overload shedding).  Lane budgets of 0
   /// mean unlimited (the default: no gating, no overhead beyond a null
-  /// check).  A startup/configuration knob like
-  /// `SetMaintenanceParallelism`: call before the core is shared, not
-  /// mid-load.
+  /// check).  A startup/configuration knob: takes the engine lock
+  /// exclusively; call before the core is shared, not mid-load.
   void SetAdmissionControl(util::AdmissionController::Options options);
 
   /// The admission controller, or null when admission control is off.
@@ -159,7 +151,7 @@ class EngineCore {
   void DumpTrace(const std::string& path) const;
 
   /// Prometheus text-format (exposition 0.0.4) rendering of the full
-  /// metrics registry, WAL/pool/session gauges synced first (takes the
+  /// metrics registry, WAL/session gauges synced first (takes the
   /// lock exclusively).  Suitable as a `/metrics` scrape body.
   std::string ExportMetricsText();
 
@@ -363,7 +355,7 @@ class Engine {
 
   /// TEST-ONLY mutable escape hatches; see `EngineCore::mutable_database`.
   /// Production callers configure through SQL or the core's dedicated
-  /// setters (`SetMaintenanceParallelism`).
+  /// setters (`SetAdmissionControl`).
   Database& mutable_database() { return core_.mutable_database(); }
   ViewManager& mutable_views() { return core_.mutable_views(); }
   IntegrityGuard& mutable_guard() { return core_.mutable_guard(); }

@@ -76,7 +76,7 @@ struct Statement {
     kShowTables,
     kShowViews,
     kShowAssertions,
-    kShowPartitions,  // SHOW PARTITIONS — per-view partition layout/stats
+    kShowPartitions,  // SHOW PARTITIONS — per-view scrub slice count
     kShowStats,  // SHOW STATS [JSON] — maintenance metrics
     kShowWal,    // SHOW WAL — durable-log counters (LSNs, fsyncs, bytes)
     kTrace,      // TRACE ON | OFF — toggle the maintenance span recorder

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "relational/csv.h"
+#include "relational/partition.h"
 #include "storage/wal.h"
 #include "util/fault.h"
 
@@ -197,8 +198,12 @@ CheckpointView GetViewMeta(wire::Reader* r) {
   }
   view.options.strategy = static_cast<DeltaStrategy>(strategy);
   view.options.partition_count = r->GetU32();
-  if (view.options.partition_count == 0) {
-    throw CorruptionError("checkpoint: zero view partition count");
+  if (view.options.partition_count == 0 ||
+      view.options.partition_count > kMaxPartitions) {
+    throw CorruptionError("checkpoint: view partition count " +
+                          std::to_string(view.options.partition_count) +
+                          " outside [1, " + std::to_string(kMaxPartitions) +
+                          "]");
   }
   view.quarantined = r->GetU8() != 0;
   view.quarantine_reason = r->GetString();

@@ -232,7 +232,7 @@ void Storage::SyncWalMetrics() {
 std::string Storage::ExportMetricsText() {
   if (engine_ == nullptr) return "";
   // Delegate to the core so both export routes render the identical body
-  // (the core takes its lock and syncs WAL, pool, and session gauges).
+  // (the core takes its lock and syncs WAL and session gauges).
   return engine_->ExportMetricsText();
 }
 

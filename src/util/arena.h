@@ -42,7 +42,7 @@ struct ArenaStats {
 /// the view instead of corrupting it.
 ///
 /// Thread-safety: none.  Each `DifferentialMaintainer` owns one arena and
-/// the commit pipeline runs at most one worker per view per commit.
+/// the commit pipeline maintains views serially.
 class Arena {
  public:
   static constexpr size_t kDefaultBlockBytes = size_t{64} << 10;

@@ -57,8 +57,8 @@ struct FaultSpec {
 /// permanently (bench E18 pins the overhead within noise).
 ///
 /// Thread-safety: `Arm`/`Disarm`/counters take the registry mutex; `OnHit`
-/// (the armed slow path) does too, so points may be hit from pool workers
-/// and WAL leader threads concurrently.
+/// (the armed slow path) does too, so points may be hit from session
+/// threads and WAL leader threads concurrently.
 class FaultRegistry {
  public:
   static FaultRegistry& Global();

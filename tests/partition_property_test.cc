@@ -1,12 +1,14 @@
-// Partitioned-maintenance property tests: for every SPJ shape the paper
-// covers, a view split into P hash partitions must materialize exactly
-// what the unpartitioned pipeline and from-scratch re-evaluation produce
-// — under both delta strategies, with the cross-transaction cache on and
-// off, and with the per-partition jobs fanned over a worker pool.  The
-// checkpoint test asserts the durable mirror: an engine whose partitioned
-// views recover from a checkpoint plus a replayed WAL tail holds exactly
-// what an undisturbed in-memory engine holds, before and after further
-// commits.
+// Partition-count property tests.  `PARTITIONS n` only sets how many
+// row-hash slices a partition-at-a-time scrub walks; maintenance is one
+// serial evaluation per round whatever the count.  So for every SPJ shape
+// the paper covers, views declared with 1, 4 and 7 partitions must match
+// their unpartitioned twin — in contents *and* in work counters — and
+// from-scratch re-evaluation, under both delta strategies, with the
+// cross-transaction cache on and off.  The slice test pins the scrub
+// basis, the SQL tests the surface, and the checkpoint test the durable
+// mirror: an engine whose partitioned views recover from a checkpoint
+// plus a replayed WAL tail holds exactly what an undisturbed in-memory
+// engine holds, before and after further commits.
 
 #include <gtest/gtest.h>
 
@@ -39,11 +41,28 @@ struct Scenario {
 
 class PartitionPropertyTest : public ::testing::TestWithParam<Scenario> {};
 
-// One ViewManager holds the unpartitioned baseline plus a partitioned
-// twin per {partition count} x {delta strategy} cell, so every view sees
-// the identical commit stream; all must equal the reference oracle (the
-// definition evaluated naively, sharing no planner code) after every
-// transaction.
+// The work counters that must not depend on the partition count.
+void ExpectSameWork(const MaintenanceStats& actual,
+                    const MaintenanceStats& twin) {
+  EXPECT_EQ(actual.transactions, twin.transactions);
+  EXPECT_EQ(actual.updates_seen, twin.updates_seen);
+  EXPECT_EQ(actual.updates_filtered, twin.updates_filtered);
+  EXPECT_EQ(actual.rows_enumerated, twin.rows_enumerated);
+  EXPECT_EQ(actual.rows_evaluated, twin.rows_evaluated);
+  EXPECT_EQ(actual.delta_inserts, twin.delta_inserts);
+  EXPECT_EQ(actual.delta_deletes, twin.delta_deletes);
+  EXPECT_EQ(actual.cache_hits, twin.cache_hits);
+  EXPECT_EQ(actual.cache_misses, twin.cache_misses);
+  EXPECT_EQ(actual.plan.rows_scanned, twin.plan.rows_scanned);
+  EXPECT_EQ(actual.plan.probes, twin.plan.probes);
+}
+
+// One ViewManager holds, per delta strategy, an unpartitioned twin (the
+// default options) plus one view per partition count, so every view sees
+// the identical commit stream.  After every transaction each must equal
+// the reference oracle (the definition evaluated naively, sharing no
+// planner code), and each partitioned view must have done exactly its
+// twin's work.
 TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
   const Scenario& sc = GetParam();
   Rng seeds(0x9a8713c4u);
@@ -59,22 +78,28 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
     std::vector<BaseRef> bases;
     for (const auto& spec : specs) bases.push_back(BaseRef{spec.name, {}});
 
-    ViewManager vm(&db, /*parallelism=*/2);
-    std::vector<std::string> views;
-    for (uint32_t partitions : {1u, 4u, 7u}) {
-      for (DeltaStrategy strategy :
-           {DeltaStrategy::kTruthTable, DeltaStrategy::kTelescoped}) {
-        MaintenanceOptions options;
+    ViewManager vm(&db);
+    // (partitioned view, its unpartitioned twin) pairs.
+    std::vector<std::pair<std::string, std::string>> views;
+    for (DeltaStrategy strategy :
+         {DeltaStrategy::kTruthTable, DeltaStrategy::kTelescoped}) {
+      const std::string suffix =
+          strategy == DeltaStrategy::kTelescoped ? "_tele" : "_table";
+      MaintenanceOptions options;
+      options.strategy = strategy;
+      options.reuse_subexpressions = sc.reuse_cache;
+      const std::string twin = "twin" + suffix;
+      vm.RegisterView(
+          ViewDefinition(twin, bases, sc.condition, sc.projection),
+          MaintenanceMode::kImmediate, options);
+      for (uint32_t partitions : {1u, 4u, 7u}) {
         options.partition_count = partitions;
-        options.strategy = strategy;
-        options.reuse_subexpressions = sc.reuse_cache;
-        std::string name =
-            "v_p" + std::to_string(partitions) +
-            (strategy == DeltaStrategy::kTelescoped ? "_tele" : "_table");
-        vm.RegisterView(ViewDefinition(name, bases, sc.condition,
-                                       sc.projection),
-                        MaintenanceMode::kImmediate, options);
-        views.push_back(std::move(name));
+        std::string name = "v_p" + std::to_string(partitions) + suffix;
+        vm.RegisterView(
+            ViewDefinition(name, bases, sc.condition, sc.projection),
+            MaintenanceMode::kImmediate, options);
+        EXPECT_EQ(vm.Maintainer(name).partition_count(), partitions);
+        views.emplace_back(std::move(name), twin);
       }
     }
     const ViewDefinition def("oracle", bases, sc.condition, sc.projection);
@@ -90,12 +115,15 @@ TEST_P(PartitionPropertyTest, PartitionedEqualsUnpartitionedEqualsOracle) {
       }
       vm.Apply(txn);
       CountedRelation expected = testing::ReferenceEvaluate(def, db);
-      for (const std::string& name : views) {
+      for (const auto& [name, twin] : views) {
+        SCOPED_TRACE(std::string(sc.name) + " " + name + " round " +
+                     std::to_string(round) + " step " + std::to_string(step));
         ASSERT_TRUE(vm.View(name).SameContents(expected))
-            << sc.name << " " << name << " diverged at round " << round
-            << " step " << step << "\nview:\n"
+            << "view:\n"
             << vm.View(name).ToString() << "expected:\n"
             << expected.ToString();
+        ASSERT_TRUE(vm.View(twin).SameContents(expected));
+        ExpectSameWork(vm.Describe(name).stats, vm.Describe(twin).stats);
       }
     }
   }
@@ -166,9 +194,14 @@ TEST(PartitionSqlTest, CreateWithPartitionsAndShow) {
                                      "AS SELECT a, c FROM r, s WHERE b = b2")
                             .ToString();
   EXPECT_NE(created.find("4 partitions"), std::string::npos) << created;
-  std::string shown = engine.Execute("SHOW PARTITIONS").ToString();
-  EXPECT_NE(shown.find("v"), std::string::npos) << shown;
-  EXPECT_NE(shown.find("4"), std::string::npos) << shown;
+  Engine::Result shown = engine.Execute("SHOW PARTITIONS");
+  ASSERT_EQ(shown.kind, Engine::Result::Kind::kRows);
+  ASSERT_EQ(shown.schema.size(), 2u) << shown.ToString();
+  EXPECT_EQ(shown.schema.attribute(0).name, "view");
+  EXPECT_EQ(shown.schema.attribute(1).name, "partitions");
+  ASSERT_EQ(shown.rows.size(), 1u) << shown.ToString();
+  EXPECT_EQ(shown.rows[0].first.at(0).AsString(), "v");
+  EXPECT_EQ(shown.rows[0].first.at(1).AsInt64(), 4);
   EXPECT_EQ(engine.Execute("SELECT * FROM v").ToString(),
             engine.Execute("SELECT a, c FROM r, s WHERE b = b2").ToString());
   EXPECT_THROW(engine.Execute("CREATE MATERIALIZED VIEW w PARTITIONS 0 "
@@ -221,7 +254,7 @@ class PartitionCheckpointTest : public ::testing::Test {
   }
 
   // No checkpoint on close, so recovery replays every commit after the
-  // last explicit CHECKPOINT through the partitioned pipeline.
+  // last explicit CHECKPOINT through the maintenance pipeline.
   std::unique_ptr<Storage> Open() const {
     Storage::Options options;
     options.checkpoint_on_close = false;
@@ -239,8 +272,8 @@ class PartitionCheckpointTest : public ::testing::Test {
     }
   }
 
-  // `joined` takes the keyed layout, `filtered` (one base) the row-hash
-  // fallback.
+  // A two-base join and a one-base selection, with different partition
+  // counts that the checkpoint must carry.
   static const char* Preamble() {
     return "CREATE TABLE r (a INT64, b INT64);"
            "CREATE TABLE s (b2 INT64, c INT64);"
@@ -290,6 +323,8 @@ TEST_F(PartitionCheckpointTest, DurableEngineRecoversPartitionedViews) {
   auto storage = Open();
   Engine durable(storage.get());
   EXPECT_GT(durable.mutable_views().metrics().storage().replayed_records, 0);
+  EXPECT_EQ(durable.views().Maintainer("joined").partition_count(), 4u);
+  EXPECT_EQ(durable.views().Maintainer("filtered").partition_count(), 3u);
   ExpectSameState(durable, reference, "recovery");
   // The recovered engine keeps maintaining correctly.
   RunChunk(reference, 4);

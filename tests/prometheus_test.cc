@@ -86,8 +86,6 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
   MetricsRegistry registry;
   registry.commit().commits = 7;
   registry.commit().normalize_nanos = 1'500'000'000;  // 1.5 s
-  registry.pool().workers = 4;
-  registry.pool().queue_depth = 2;
   registry.storage().wal_appends = 11;
   ViewMetrics& v = registry.ForView("v");
   v.stats.transactions = 5;
@@ -101,15 +99,18 @@ TEST(PrometheusTest, CountersGaugesAndLabelsFromHandBuiltRegistry) {
 
   EXPECT_EQ(samples.at("mview_commits_total"), 7);
   EXPECT_DOUBLE_EQ(samples.at("mview_normalize_seconds_total"), 1.5);
-  EXPECT_EQ(samples.at("mview_pool_workers"), 4);
-  EXPECT_EQ(samples.at("mview_pool_queue_depth"), 2);
   EXPECT_EQ(samples.at("mview_wal_appends_total"), 11);
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"v\"}"), 5);
   EXPECT_EQ(samples.at("mview_view_transactions_total{view=\"w\"}"), 1);
   EXPECT_EQ(samples.at("mview_view_updates_filtered_total{view=\"v\"}"), 3);
   EXPECT_EQ(samples.at("mview_view_cache_bytes{view=\"v\"}"), 4096);
-  EXPECT_TRUE(Contains(text, "# TYPE mview_pool_workers gauge"));
   EXPECT_TRUE(Contains(text, "# TYPE mview_commits_total counter"));
+  // Maintenance is serial and unpartitioned: no thread-pool gauges and no
+  // per-partition maintenance families are exported.
+  for (const auto& [name, value] : samples) {
+    EXPECT_EQ(name.find("pool"), std::string::npos) << name;
+    EXPECT_EQ(name.find("partition"), std::string::npos) << name;
+  }
 }
 
 TEST(PrometheusTest, HistogramSeriesAreCumulativeAndConsistent) {

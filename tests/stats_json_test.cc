@@ -33,6 +33,10 @@ void ExpectViewMetricsShape(const JsonValue& v, const std::string& where) {
     ASSERT_TRUE(v.Has(key)) << "missing per-view key: " << key;
     EXPECT_EQ(v.At(key).kind, JsonValue::Kind::kNumber) << key;
   }
+  // A round is one unpartitioned evaluation: no per-partition counters.
+  for (const auto& [key, value] : v.object) {
+    EXPECT_EQ(key.find("partition"), std::string::npos) << key;
+  }
   ASSERT_TRUE(v.Has("delta_size_histogram"));
   for (const char* key :
        {"filter_latency", "differential_latency", "apply_latency"}) {
@@ -53,7 +57,6 @@ TEST(StatsJsonTest, GoldenSchema) {
   {
     auto storage = Storage::Open(dir);
     sql::Engine engine(storage.get());
-    engine.mutable_views().SetParallelism(2);
     engine.ExecuteScript(
         "CREATE TABLE r (a INT64, b INT64);"
         "CREATE TABLE s (b INT64, c INT64);"
@@ -94,11 +97,8 @@ TEST(StatsJsonTest, GoldenSchema) {
     EXPECT_GT(storage_json.At("wal_appends").number, 0);
     EXPECT_GT(storage_json.At("fsync_latency").At("count").number, 0);
 
-    // Pool gauges.
-    const JsonValue& pool = doc.At("pool");
-    EXPECT_EQ(pool.At("workers").number, 2);
-    EXPECT_GE(pool.At("queue_depth").number, 0);
-    EXPECT_GE(pool.At("active_workers").number, 0);
+    // Maintenance is serial: no thread-pool scope.
+    EXPECT_FALSE(doc.Has("pool"));
 
     // DML access-path counters: the DELETE above scanned r (a is not
     // indexed) and matched one row.
@@ -137,8 +137,13 @@ TEST(StatsJsonTest, InMemoryEngineParsesToo) {
       "INSERT INTO t VALUES (1);");
   JsonValue doc = JsonParser::Parse(engine.Execute("SHOW STATS JSON").message);
   EXPECT_EQ(doc.At("storage").At("wal_appends").number, 0);
-  EXPECT_EQ(doc.At("pool").At("workers").number, 0);
+  EXPECT_FALSE(doc.Has("pool"));
   EXPECT_GT(doc.At("views").At("v").At("transactions").number, 0);
+  // The long format has no thread-pool rows either.
+  for (const auto& [tuple, count] : engine.Execute("SHOW STATS").rows) {
+    EXPECT_NE(tuple.at(1).AsString().rfind("pool_", 0), 0u)
+        << tuple.at(1).AsString();
+  }
 }
 
 TEST(StatsJsonTest, DmlCountersSeparateIndexProbesFromScans) {
@@ -172,22 +177,6 @@ TEST(StatsJsonTest, DmlCountersSeparateIndexProbesFromScans) {
     }
   }
   EXPECT_TRUE(saw);
-}
-
-TEST(StatsJsonTest, LongFormatCarriesPoolGauges) {
-  sql::Engine engine;
-  engine.mutable_views().SetParallelism(3);
-  engine.ExecuteScript("CREATE TABLE t (a INT64);");
-  sql::Engine::Result result = engine.Execute("SHOW STATS");
-  ASSERT_EQ(result.kind, sql::Engine::Result::Kind::kRows);
-  bool saw_workers = false;
-  for (const auto& [tuple, count] : result.rows) {
-    if (tuple.at(1).AsString() == "pool_workers") {
-      saw_workers = true;
-      EXPECT_EQ(tuple.at(2).AsInt64(), 3);
-    }
-  }
-  EXPECT_TRUE(saw_workers);
 }
 
 }  // namespace

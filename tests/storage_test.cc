@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -437,6 +438,49 @@ TEST_F(StorageTest, CorruptCheckpointThrows) {
     f.get(c);
     f.seekp(-1, std::ios::end);
     f.put(static_cast<char>(c ^ 0xFF));
+  }
+  EXPECT_THROW(ReadCheckpoint(CheckpointPath()), CorruptionError);
+}
+
+// A well-framed image (valid CRC) whose view claims 1<<20 partitions must
+// be rejected by the decoder, not handed to a maintainer: the SQL parser
+// caps PARTITIONS at kMaxPartitions, and the decoder shares that bound.
+TEST_F(StorageTest, CheckpointRejectsPartitionCountAboveTheSqlCap) {
+  Database db;
+  MakeRelation(&db, "R", {"A"}, {{1}});
+  ViewManager views(&db);
+  MaintenanceOptions options;
+  options.partition_count = 4093;  // a valid, recognizable count
+  views.RegisterView(ViewDefinition::Select("pview", "R", "A > 0"),
+                     MaintenanceMode::kImmediate, options);
+  WriteCheckpoint(CheckpointPath(), 1, db, views, nullptr);
+  ASSERT_EQ(ReadCheckpoint(CheckpointPath())->views.at(0)
+                .options.partition_count,
+            4093u);
+
+  std::string file;
+  {
+    std::ifstream in(CheckpointPath(), std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Frame: 8-byte magic, CRC32 of the body, u64 body length, body.  The
+  // view meta is the name, four one-byte fields, then the u32 count.
+  constexpr size_t kPrefix = 8 + 4 + 8;
+  std::string body = file.substr(kPrefix);
+  const size_t name = body.find("pview");
+  ASSERT_NE(name, std::string::npos);
+  const size_t at = name + 5 + 4;
+  std::string expected, patched;
+  wire::PutU32(&expected, 4093);
+  wire::PutU32(&patched, uint32_t{1} << 20);
+  ASSERT_EQ(body.substr(at, 4), expected);
+  body.replace(at, 4, patched);
+  std::string crc;
+  wire::PutU32(&crc, Crc32(body.data(), body.size()));
+  file = file.substr(0, 8) + crc + file.substr(12, 8) + body;
+  {
+    std::ofstream out(CheckpointPath(), std::ios::binary | std::ios::trunc);
+    out << file;
   }
   EXPECT_THROW(ReadCheckpoint(CheckpointPath()), CorruptionError);
 }

@@ -259,33 +259,6 @@ TEST_F(ViewManagerTest, DropViewErasesMetrics) {
   EXPECT_EQ(vm_.metrics().Find("v"), nullptr);
 }
 
-TEST_F(ViewManagerTest, ParallelPipelineMatchesSerial) {
-  // One manager runs serial, one with a 4-worker pool, over identical
-  // databases; contents must match after every commit.
-  Database db2;
-  ::mview::testing::MakeRelation(&db2, "R", {"A", "B"}, {{1, 2}, {3, 4}});
-  ::mview::testing::MakeRelation(&db2, "S", {"B2", "C"}, {{2, 20}, {4, 40}});
-  ViewManager parallel(&db2, /*parallelism=*/4);
-  EXPECT_EQ(parallel.parallelism(), 4u);
-  for (const char* name : {"v1", "v2", "v3"}) {
-    vm_.RegisterView(JoinDef(name));
-    parallel.RegisterView(JoinDef(name));
-  }
-  for (int64_t i = 0; i < 10; ++i) {
-    Transaction txn;
-    txn.Insert("R", T({10 + i, i % 5}));
-    txn.Insert("S", T({i % 5, i}));
-    vm_.Apply(txn);
-    parallel.Apply(txn);
-    for (const char* name : {"v1", "v2", "v3"}) {
-      EXPECT_TRUE(vm_.View(name).SameContents(parallel.View(name)))
-          << name << " diverged at step " << i;
-    }
-  }
-  EXPECT_EQ(vm_.Describe("v2").stats.delta_inserts,
-            parallel.Describe("v2").stats.delta_inserts);
-}
-
 TEST_F(ViewManagerTest, SequenceOfMixedTransactionsStaysConsistent) {
   vm_.RegisterView(JoinDef("v"));
   DifferentialMaintainer oracle(JoinDef("oracle"), &db_);
